@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz soak soak-smoke cluster-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-journal bench-gateway bench-synth bench-stream clean
+.PHONY: check fmt vet build test race fuzz soak soak-smoke cluster-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-journal bench-gateway bench-synth bench-stream bench-e2e clean
 
 check: fmt vet build test race
 
@@ -116,8 +116,9 @@ load-smoke:
 	SIRO_LOAD_SECONDS=5 SIRO_LOAD_RATE=40 SIRO_LOAD_JSON=$(LOAD_JSON) \
 		$(GO) test -race ./internal/scenario -run TestLoadSmoke -count=1 -v -timeout 10m
 
-# Umbrella benchmark gate: every bench-* target, so a new gate added
-# here cannot silently drift out of "run all the benchmarks".
+# Umbrella benchmark gate: every in-process bench-* gate, so a new gate
+# added here cannot silently drift out of "run all the benchmarks". The
+# end-to-end benchmark (bench-e2e) is a separate, minutes-long run.
 bench: bench-micro bench-service bench-obs bench-journal bench-gateway bench-synth bench-stream
 
 bench-micro:
@@ -157,6 +158,12 @@ bench-synth:
 # batch's scales >= 5x, and writes BENCH_stream.json.
 bench-stream:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_stream.json $(GO) test ./internal/service -run TestStreamBenchReport -count=1 -v
+
+# Layered end-to-end benchmark: every workload against a real sirod built
+# from this checkout (see bench/README.md). Prints one JSON result per
+# workload; reports and spans land in .bench_build/.
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1 --seconds 20 --trace 0
 
 clean:
 	$(GO) clean ./...

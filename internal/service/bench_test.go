@@ -32,6 +32,7 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := benchModule(b, p.Source)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Translate(context.Background(), p.Source, p.Target, m); err != nil {

@@ -141,7 +141,11 @@ func NewCache(dir string, maxEntries int, opts synth.Options) *Cache {
 func (c *Cache) SetMaxBytes(n int64) { c.maxBytes = n }
 
 // Key returns the content address of the pair under the cache's
-// synthesis options.
+// synthesis options. Every lookup derives it, so it must be cheap: for
+// canonical libraries synth.Fingerprint memoizes it per (pair, Gen) —
+// sound because irlib registries are pure functions of version — and a
+// hit costs a map load. A cache built over override libraries re-hashes
+// them on every call.
 func (c *Cache) Key(pair version.Pair) string {
 	return synth.Fingerprint(pair.Source, pair.Target, c.opts)
 }

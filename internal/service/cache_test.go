@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/irlib"
 	"repro/internal/synth"
 	"repro/internal/version"
 )
@@ -66,6 +67,62 @@ func TestCacheKeyIncludesOptions(t *testing.T) {
 	cb := NewCache("", 8, bounded)
 	if c.Key(pair12to36) == cb.Key(pair12to36) {
 		t.Fatal("different generation bounds produced the same cache key")
+	}
+
+	// An override library (the chaos seam) is keyed by its current
+	// contents and never shares a key with the canonical cache, for any
+	// source version — including after the library is mutated under the
+	// cache.
+	getters := &irlib.Library{Ver: pair12to36.Source, Side: irlib.SideSrc}
+	builders := &irlib.Library{Ver: pair12to36.Target, Side: irlib.SideTgt}
+	for _, tc := range []struct {
+		side string
+		lib  *irlib.Library
+		opts synth.Options
+	}{
+		{"getters", getters, synth.Options{Getters: getters}},
+		{"builders", builders, synth.Options{Builders: builders}},
+	} {
+		co := NewCache("", 8, tc.opts)
+		before := co.Key(pair12to36)
+		if before == c.Key(pair12to36) {
+			t.Fatalf("%s override shares the canonical key", tc.side)
+		}
+		tc.lib.APIs = append(tc.lib.APIs, irlib.Getters(pair12to36.Source).APIs[0])
+		after := co.Key(pair12to36)
+		if after == before {
+			t.Fatalf("%s override key unchanged after mutating the library: memoized", tc.side)
+		}
+		if after == c.Key(pair12to36) {
+			t.Fatalf("mutated %s override shares the canonical key", tc.side)
+		}
+		for _, src := range version.All {
+			p := version.Pair{Source: src, Target: version.V3_6}
+			if co.Key(p) == c.Key(p) {
+				t.Fatalf("%s override shares the canonical key for %s", tc.side, p)
+			}
+		}
+	}
+}
+
+// Regression guard for the hit path: a memory hit on a canonical cache
+// derives its key from the fingerprint memo and touches only the LRU, so
+// it must not allocate. A per-lookup registry rebuild (~2,400 allocs)
+// fails this test.
+func TestCacheHitAllocs(t *testing.T) {
+	c := NewCache("", 8, synth.Options{})
+	warm := func() (*synth.Result, error) { return &synth.Result{Pair: pair12to36}, nil }
+	ctx := context.Background()
+	if _, org, err := c.Get(ctx, pair12to36, warm); err != nil || org != OriginSynth {
+		t.Fatalf("warm-up = %v origin %v", err, org)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, org, err := c.Get(ctx, pair12to36, warm); err != nil || org != OriginMemory {
+			t.Fatalf("get = %v origin %v, want memory hit", err, org)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cache hit allocates %.1f times per lookup, want 0", allocs)
 	}
 }
 

@@ -15,7 +15,10 @@ import (
 // Stage names of the request trace and the siro_stage_seconds
 // histogram. The stages are disjoint ("cache" excludes the nested
 // synthesis time, which is reported as "synth"), so a request's stage
-// durations sum to roughly its wall time.
+// durations sum to roughly its wall time. The "cache" stage includes
+// deriving the content-address key: memoized per (pair, gen) for
+// canonical libraries, whose irlib registries are pure functions of
+// version, and re-hashed on every lookup for override libraries.
 const (
 	stageParse     = "parse"    // textual IR → module at a stated version
 	stageDetect    = "detect"   // version auto-detection (parse at every version)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/irlib"
@@ -57,7 +58,37 @@ type persisted struct {
 // staleness check of Import. Library overrides in opts (the chaos seam)
 // change the fingerprint, so poisoned-registry artifacts never collide
 // with canonical ones.
+//
+// The canonical fingerprint (no overrides) is memoized per (pair, Gen):
+// irlib registries are pure functions of version, so the digest is too,
+// and a cache hit must not pay to rebuild and re-hash them. Override
+// libraries are caller-owned and mutable, so they are re-hashed on every
+// call and never read or write the memo.
 func Fingerprint(src, tgt version.V, opts Options) string {
+	if opts.Getters != nil || opts.Builders != nil {
+		return fingerprint(src, tgt, opts)
+	}
+	k := fingerprintKey{src: src, tgt: tgt, gen: opts.Gen}
+	if fp, ok := canonicalFingerprints.Load(k); ok {
+		return fp.(string)
+	}
+	fp := fingerprint(src, tgt, opts)
+	canonicalFingerprints.Store(k, fp)
+	return fp
+}
+
+type fingerprintKey struct {
+	src, tgt version.V
+	gen      typegraph.Options
+}
+
+// canonicalFingerprints memoizes Fingerprint for canonical libraries:
+// fingerprintKey → hex digest. It grows by one entry per (pair, Gen)
+// ever requested.
+var canonicalFingerprints sync.Map
+
+// fingerprint computes the registry digest Fingerprint documents.
+func fingerprint(src, tgt version.V, opts Options) string {
 	getters := opts.Getters
 	if getters == nil {
 		getters = irlib.Getters(src)

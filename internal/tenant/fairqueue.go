@@ -107,7 +107,13 @@ func (f *FairQueue[T]) Enqueue(id string, v T) error {
 	if q.depth() == 0 {
 		// Newly backlogged: join the ring behind the current position
 		// with no credit carryover — the quantum is issued when its
-		// turn comes around.
+		// turn comes around. A cur left one past the end by the removal
+		// of the last entry is resolved to its wrap target first;
+		// appended at the stale index, the joiner would land on the
+		// cursor and jump the successor that is owed the next turn.
+		if f.cur >= len(f.ring) {
+			f.cur = 0
+		}
 		q.deficit = 0
 		q.granted = false
 		f.ring = append(f.ring, q)

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // drain pulls n items and tallies them by tenant.
@@ -108,68 +108,103 @@ func TestFairQueueWeightedShareProperty(t *testing.T) {
 
 // Closed-loop churn: each stream keeps exactly one request in flight,
 // re-enqueueing only after the previous one is served — the pattern a
-// synchronous client fleet produces. The light tenant's queue empties
-// and rejoins the ring on almost every round while the heavy tenant
-// stays backlogged; service must still split ~50/50. (Regression: the
-// scheduler used to issue credits only when the walk advanced onto a
-// queue, so a queue the cursor was re-aimed at by a neighbour's
-// removal was skipped creditless every round and starved.)
+// synchronous client fleet produces. The light tenant runs a single
+// stream, so its queue empties and rejoins the ring on every service
+// while the heavy tenant stays backlogged; service must still split
+// ~50/50. (Regressions: the scheduler used to issue a queue's credits
+// on the walk's advance past it, so a queue the cursor landed on
+// creditless was skipped every round — heavy share 0.667; and a tenant
+// rejoining right after its own turn used to land on the cursor and be
+// served again ahead of its successor — heavy share near 0.)
+//
+// The loop is lock-step: the worker waits for the served stream to
+// re-enqueue before it dequeues again, and the run is sized in served
+// items, not wall-clock time. The schedule, and so the share, is the
+// same on an idle and on a loaded machine.
 func TestFairQueueClosedLoopChurn(t *testing.T) {
+	const sample = 400 // served items the share is measured over
 	f := NewFairQueue[chan struct{}](64, nil)
-	deadline := time.Now().Add(400 * time.Millisecond)
 
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	requeued := make(chan struct{}) // a served stream re-enqueued or exited
+	stream := func(id string) {
+		ch := make(chan struct{})
+		if err := f.Enqueue(id, ch); err != nil {
+			t.Fatalf("enqueue %s: %v", id, err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				<-ch
+				if stop.Load() {
+					requeued <- struct{}{}
+					return
+				}
+				ch = make(chan struct{})
+				err := f.Enqueue(id, ch)
+				requeued <- struct{}{}
+				if err != nil {
+					t.Errorf("enqueue %s: %v", id, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		stream("heavy")
+	}
+	stream("light")
+
+	// Single worker. It counts the first sample items, then keeps
+	// serving so every stream's last in-flight request completes and
+	// the stream exits.
 	served := map[string]int{}
-	var mu sync.Mutex
 	done := make(chan struct{})
-	go func() { // single worker, fixed per-item service time
+	go func() {
 		defer close(done)
+		n := 0
 		for {
 			ch, id, ok := f.Dequeue()
 			if !ok {
 				return
 			}
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			served[id]++
-			mu.Unlock()
+			if n < sample {
+				served[id]++
+				if n++; n == sample {
+					stop.Store(true)
+				}
+			}
 			close(ch)
+			<-requeued
 		}
 	}()
-
-	var wg sync.WaitGroup
-	stream := func(id string) {
-		defer wg.Done()
-		for time.Now().Before(deadline) {
-			ch := make(chan struct{})
-			if err := f.Enqueue(id, ch); err != nil {
-				t.Errorf("enqueue %s: %v", id, err)
-				return
-			}
-			<-ch
-		}
-	}
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go stream("heavy")
-	}
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go stream("light")
-	}
 	wg.Wait()
 	f.Close()
 	<-done
 
-	mu.Lock()
-	defer mu.Unlock()
-	total := served["heavy"] + served["light"]
-	if total == 0 {
-		t.Fatal("nothing served")
-	}
-	share := float64(served["heavy"]) / float64(total)
+	share := float64(served["heavy"]) / float64(sample)
 	t.Logf("heavy %d, light %d (heavy share %.3f)", served["heavy"], served["light"], share)
 	if share < 0.4 || share > 0.6 {
 		t.Fatalf("heavy share %.3f under 10:1 closed-loop load, want ~0.5", share)
+	}
+}
+
+// A tenant that empties on its own turn and rejoins before the next
+// dequeue goes to the back of the round: the successor that is owed
+// the next turn is served first.
+func TestFairQueueRejoinAfterOwnTurn(t *testing.T) {
+	f := NewFairQueue[int](100, nil)
+	fill(t, f, "a", 3)
+	fill(t, f, "b", 1)
+	if got := drain(t, f, 2); got["a"] != 1 || got["b"] != 1 {
+		t.Fatalf("first round served %v, want a and b once each", got)
+	}
+	// b emptied on its turn, the last in the ring; it rejoins at once.
+	fill(t, f, "b", 1)
+	if _, id, _ := f.Dequeue(); id != "a" {
+		t.Fatalf("served %s after b's rejoin, want a: b jumped the round", id)
 	}
 }
 
