@@ -2,7 +2,9 @@
 # pre-commit runs: formatting, vet, build, the full test suite, and the
 # race gate over the packages with concurrent internals (the synth
 # worker pool, the interpreter used from it, the translation service's
-# cache, router, and worker pool, and the metrics/tracing substrate).
+# cache, router, and worker pool, the metrics/tracing substrate, and the
+# load CLI's in-process daemon, which wires a service, the jobs runner
+# and HTTP together).
 
 GO ?= go
 
@@ -24,7 +26,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/synth ./internal/interp ./internal/service ./internal/obs ./internal/resilience ./internal/cluster ./internal/journal ./internal/tenant ./internal/irtext ./internal/scenario
+	$(GO) test -race ./internal/synth ./internal/interp ./internal/service ./internal/obs ./internal/resilience ./internal/cluster ./internal/journal ./internal/tenant ./internal/irtext ./internal/scenario ./internal/scenario/loadcli
 
 # Short fuzz smoke of the fuzz targets; crashers land in
 # internal/<pkg>/testdata/fuzz and are replayed by plain `go test`.
@@ -140,9 +142,11 @@ bench-obs:
 bench-journal:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_journal.json $(GO) test ./internal/service -run TestJournalBenchReport -count=1 -v
 
-# Gateway (auth + fair queue) vs anonymous direct-handler benchmark;
-# asserts the multi-tenant front door costs <= 5% on the cache-hit
-# translate path and writes BENCH_gateway.json.
+# Gateway vs anonymous direct-handler benchmark; asserts the
+# multi-tenant front door costs <= 5% on the cache-hit translate path
+# and writes BENCH_gateway.json. The gated side runs with a tenant
+# registry, as `sirod -tenants` does: auth, the fair queue, and
+# coalescing's per-request sha256 of the input.
 bench-gateway:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_gateway.json $(GO) test ./internal/service -run TestGatewayBenchReport -count=1 -v
 

@@ -1,12 +1,14 @@
 // Command siro synthesizes IR translators for version pairs, the
-// Table 3 workflow of the paper, and can serve translations as a
-// daemon.
+// Table 3 workflow of the paper, and translates one input in bounded
+// memory. The translation daemon is cmd/sirod; the traffic-replay load
+// driver is cmd/siroload.
 //
 //	siro -src 12.0 -tgt 3.6        synthesize one pair and print stats
 //	siro -all                      synthesize all ten Table 3 pairs
 //	siro -src 12.0 -tgt 3.6 -emit  also print the generated translator code
+//	siro -src 12.0 -tgt 3.6 -save FILE   also write the translator artifact (one pair only)
 //	siro -src 12.0 -tgt 3.6 -cache DIR   reuse/persist the translator cache
-//	siro -serve -addr :8347 -cache DIR   run the translation daemon (see cmd/sirod)
+//	siro -warm-matrix -cache DIR   synthesize every version pair into the cache
 //	siro -stream -src 12.0 -tgt 3.6 < big.ll > big-3.6.ll   bounded-memory translation
 //
 // -stream translates textual IR one function at a time: peak memory is
@@ -26,12 +28,9 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -41,11 +40,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/failure"
 	"repro/internal/ir"
-	"repro/internal/obs"
-	"repro/internal/scenario/loadcli"
 	"repro/internal/service"
 	"repro/internal/synth"
-	"repro/internal/tenant"
 	"repro/internal/version"
 )
 
@@ -54,56 +50,33 @@ func main() {
 	tgtFlag := flag.String("tgt", "", "target IR version (e.g. 3.6)")
 	all := flag.Bool("all", false, "synthesize all ten Table 3 pairs")
 	emit := flag.Bool("emit", false, "print the synthesized translator code")
-	save := flag.String("save", "", "write the synthesized translator artifact (JSON) to this file")
+	save := flag.String("save", "", "write the synthesized translator artifact (JSON) to this file (one pair only: not with -all)")
 	cacheDir := flag.String("cache", "", "translator cache directory: load cached artifacts instead of re-synthesizing, persist fresh ones")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "on-disk artifact budget with -cache: past it the least-recently-hit artifacts are GC'd (0: unbounded)")
 	warmMatrix := flag.Bool("warm-matrix", false, "synthesize the full version-pair matrix into -cache, nearest pairs first, then exit (Ctrl-C stops cleanly)")
-	serve := flag.Bool("serve", false, "run the translation daemon instead of a one-shot synthesis")
-	addr := flag.String("addr", ":8347", "daemon listen address (with -serve)")
-	maxBody := flag.Int64("max-body", service.DefaultMaxBodyBytes, "maximum /v1/translate request body in bytes, with -serve (negative disables)")
-	traceLog := flag.String("trace-log", "", "with -serve: append one JSON line per slow translate request to this file (see -slow)")
-	slow := flag.Duration("slow", time.Second, "with -serve: requests at or above this wall time go to -trace-log (0 logs every request)")
-	pprofOn := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "with -serve: graceful-drain deadline on SIGTERM/SIGINT")
-	maxRetries := flag.Int("max-retries", 2, "with -serve: transient synthesis failures retried before the pair's breaker advances")
-	shedQueue := flag.Int("shed-queue", 0, "with -serve: queue depth at which admission sheds with 429 (0: when full, negative: block)")
-	tenantsFile := flag.String("tenants", "", "with -serve: multi-tenant gateway config (JSON); SIGHUP hot-reloads it (empty: anonymous access)")
-	defaultQuota := flag.Float64("default-quota", 0, "with -serve: default per-tenant rate limit in req/s for tenants that omit rate_per_sec (0: unlimited)")
-	fairQueue := flag.Bool("fair-queue", false, "with -serve: per-tenant weighted (deficit-round-robin) fair queueing")
 	synthWorkers := flag.Int("synth-workers", 0, "parallelism inside each synthesis run: candidate generation and validation workers (0: serial; output is byte-identical at any setting)")
-	noNeighborMemo := flag.Bool("no-neighbor-memo", false, "disable cross-pair synthesis memoization (shared generation cache + neighbor-pair warm starts)")
-	noCostModel := flag.Bool("no-cost-model", false, "disable the persisted cost model that orders candidate validation by observed win rate")
 	stream := flag.Bool("stream", false, "translate textual IR function-at-a-time in bounded memory (requires -src and -tgt; reads -in, writes -out)")
 	inFile := flag.String("in", "", "with -stream: read source IR from this file (default stdin)")
 	outFile := flag.String("out", "", "with -stream: write translated IR to this file (default stdout)")
 	partial := flag.Bool("partial", false, "with -stream: drop unsupported constructs (reported on stderr) instead of failing")
-	streamThreshold := flag.Int64("stream-threshold", service.DefaultStreamThreshold, "with -serve: text/* /v1/translate bodies at or above this size stream function-at-a-time (negative: stream every text request)")
-	streamMemBudget := flag.Int64("stream-mem-budget", 0, "with -serve: process-wide cap on bytes held by in-flight streaming translations; past it streams park, then 429 (0: unlimited)")
-	load := flag.Bool("load", false, "replay a deterministic traffic schedule from the scenario corpus; remaining args are siroload flags (siro -load -- -mix stress -seed 7)")
 	flag.Parse()
 
-	if *load {
-		os.Exit(loadcli.Run(flag.Args(), os.Stdout, os.Stderr))
-	}
-	if *serve {
-		runServe(*addr, *cacheDir, serveOpts{maxBody: *maxBody, traceLog: *traceLog, slow: *slow, pprof: *pprofOn,
-			drainTimeout: *drainTimeout, maxRetries: *maxRetries, shedQueue: *shedQueue,
-			tenantsFile: *tenantsFile, defaultQuota: *defaultQuota, fairQueue: *fairQueue,
-			synthWorkers: *synthWorkers, noNeighborMemo: *noNeighborMemo, noCostModel: *noCostModel,
-			streamThreshold: *streamThreshold, streamMemBudget: *streamMemBudget})
-		return
-	}
 	if *stream {
 		runStream(*srcFlag, *tgtFlag, *inFile, *outFile, *partial, *cacheDir, *cacheMax, *synthWorkers)
 		return
 	}
 	if *warmMatrix {
-		runWarmMatrix(*cacheDir, *cacheMax, *synthWorkers, *noNeighborMemo, *noCostModel)
+		runWarmMatrix(*cacheDir, *cacheMax, *synthWorkers)
 		return
 	}
 
 	var pairs []version.Pair
 	switch {
+	case *all && *save != "":
+		// Every pair would overwrite the same file, leaving only the
+		// last one's artifact.
+		fmt.Fprintln(os.Stderr, "siro: -save writes one pair's artifact; use -src and -tgt, not -all")
+		os.Exit(2)
 	case *all:
 		pairs = version.Table3Pairs
 	case *srcFlag != "" && *tgtFlag != "":
@@ -129,21 +102,15 @@ func main() {
 	// cost model (persisted beside the artifact cache when -cache is
 	// set). A -all run synthesizes ten related pairs, so the sharing is
 	// where most of its speedup comes from.
-	var gen *synth.GenCache
-	var hints *synth.HintsRegistry
-	if !*noNeighborMemo {
-		gen = synth.NewGenCache()
-		hints = synth.NewHintsRegistry()
-	}
+	gen := synth.NewGenCache()
+	hints := synth.NewHintsRegistry()
 	var cost *synth.CostModel
 	costPath := ""
-	if !*noCostModel {
-		if *cacheDir != "" {
-			costPath = filepath.Join(*cacheDir, "siro-costmodel.json")
-			cost = synth.LoadCostModel(costPath)
-		} else {
-			cost = synth.NewCostModel()
-		}
+	if *cacheDir != "" {
+		costPath = filepath.Join(*cacheDir, "siro-costmodel.json")
+		cost = synth.LoadCostModel(costPath)
+	} else {
+		cost = synth.NewCostModel()
 	}
 	fmt.Println("No.  Pair          #Common  #New  #AtomicTrans(LOC)  #InstTrans(LOC)  Time")
 	for i, p := range pairs {
@@ -162,7 +129,7 @@ func main() {
 				return nil, err
 			}
 			hints.Store(out.Hints(opts))
-			if cost != nil && costPath != "" {
+			if costPath != "" {
 				_ = cost.Save(costPath)
 			}
 			return out, nil
@@ -204,11 +171,9 @@ func main() {
 // offline equivalent of sirod's -auto-warm. Interruption is clean: the
 // pairs already warmed stay persisted and a rerun skips them by cache
 // hit.
-func runWarmMatrix(cacheDir string, cacheMax int64, synthWorkers int, noNeighborMemo, noCostModel bool) {
+func runWarmMatrix(cacheDir string, cacheMax int64, synthWorkers int) {
 	svc := service.New(service.Config{CacheDir: cacheDir, CacheMaxBytes: cacheMax,
-		Synth:               synth.Options{Workers: synthWorkers},
-		DisableNeighborMemo: noNeighborMemo,
-		DisableCostModel:    noCostModel,
+		Synth: synth.Options{Workers: synthWorkers},
 	})
 	defer svc.Close()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -288,110 +253,6 @@ func runStream(srcs, tgts, inFile, outFile string, partial bool, cacheDir string
 	}
 	if err := bw.Flush(); err != nil {
 		fatal(err)
-	}
-}
-
-// serveOpts carries the daemon-only flags into runServe.
-type serveOpts struct {
-	maxBody         int64
-	traceLog        string
-	slow            time.Duration
-	pprof           bool
-	drainTimeout    time.Duration
-	maxRetries      int
-	shedQueue       int
-	tenantsFile     string
-	defaultQuota    float64
-	fairQueue       bool
-	synthWorkers    int
-	noNeighborMemo  bool
-	noCostModel     bool
-	streamThreshold int64
-	streamMemBudget int64
-}
-
-// runServe runs the same daemon as cmd/sirod, for installs that only
-// ship the siro binary.
-func runServe(addr, cacheDir string, so serveOpts) {
-	var registry *tenant.Registry
-	if so.tenantsFile != "" {
-		tenants, err := tenant.LoadFile(so.tenantsFile)
-		if err != nil {
-			log.Fatalf("siro: -tenants: %v", err)
-		}
-		registry = tenant.NewRegistry(tenants, tenant.Defaults{RatePerSec: so.defaultQuota})
-		log.Printf("siro: gateway enabled with %d tenant(s) from %s", registry.Len(), so.tenantsFile)
-	}
-	svc := service.New(service.Config{
-		CacheDir:            cacheDir,
-		JobTimeout:          2 * time.Minute,
-		MaxRetries:          so.maxRetries,
-		ShedAt:              so.shedQueue,
-		FairQueue:           so.fairQueue,
-		TenantWeight:        registry.Weight,
-		Coalesce:            registry != nil,
-		Synth:               synth.Options{Workers: so.synthWorkers},
-		DisableNeighborMemo: so.noNeighborMemo,
-		DisableCostModel:    so.noCostModel,
-		StreamMemBudget:     so.streamMemBudget,
-	})
-	defer svc.Close()
-	opts := service.HandlerOpts{MaxBodyBytes: so.maxBody, Pprof: so.pprof, StreamThreshold: so.streamThreshold}
-	if so.traceLog != "" {
-		f, err := os.OpenFile(so.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("siro: -trace-log: %v", err)
-		}
-		defer f.Close()
-		opts.SlowLog = obs.NewSlowLog(f, so.slow)
-	}
-	var handler http.Handler
-	{
-		var gw *tenant.Gateway
-		if registry != nil {
-			gw = tenant.NewGateway(tenant.GatewayConfig{Registry: registry, Metrics: svc.Metrics(), Logf: log.Printf})
-			opts.GatewayStats = gw.Stats
-		}
-		handler = service.NewHandler(svc, opts)
-		if gw != nil {
-			handler = gw.Wrap(handler)
-			hupc := make(chan os.Signal, 1)
-			signal.Notify(hupc, syscall.SIGHUP)
-			go func() {
-				for range hupc {
-					tenants, err := tenant.LoadFile(so.tenantsFile)
-					if err != nil {
-						log.Printf("siro: SIGHUP: keeping previous tenants: %v", err)
-						continue
-					}
-					registry.Replace(tenants)
-					log.Printf("siro: SIGHUP: reloaded %d tenant(s) from %s", registry.Len(), so.tenantsFile)
-				}
-			}()
-		}
-	}
-	server := &http.Server{Addr: addr, Handler: handler}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- server.ListenAndServe() }()
-	log.Printf("siro: serving on %s (cache %q)", addr, cacheDir)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("siro: %v", err)
-		}
-	case <-ctx.Done():
-		// Same drain sequence as cmd/sirod: stop admission, flush
-		// in-flight jobs within the deadline, then close the listener.
-		drainCtx, cancel := context.WithTimeout(context.Background(), so.drainTimeout)
-		if err := svc.Drain(drainCtx); err != nil {
-			log.Printf("siro: drain: %v", err)
-		}
-		cancel()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		server.Shutdown(shutdownCtx)
 	}
 }
 

@@ -73,7 +73,7 @@ func main() {
 	noMetrics := flag.Bool("no-metrics", false, "disable the metrics registry and the /metrics endpoint")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT: stop admission, flush in-flight jobs, then exit")
 	maxRetries := flag.Int("max-retries", 2, "transient synthesis failures retried with jittered backoff before the pair's breaker advances")
-	shedQueue := flag.Int("shed-queue", 0, "queue depth at which admission sheds with 429 + Retry-After (0: shed only when -queue is full, negative: block instead of shedding)")
+	shedQueue := flag.Int("shed-queue", 0, "queue depth at which admission sheds with 429 + Retry-After (0: shed only when -queue is full, negative: block instead of shedding); with -tenants it bounds each tenant's own queue, which always sheds")
 	breakerFailures := flag.Int("breaker-failures", 1, "consecutive synthesis/validation failures that open a version pair's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "base open→half-open breaker cooldown (jittered, grows on failed probes)")
 	serveTrials := flag.Int("serve-validate", 0, "differential trials re-validating each direct translation before it is served; a diverging cached translator is quarantined and resynthesized (0 disables)")
@@ -82,17 +82,14 @@ func main() {
 	journalSegBytes := flag.Int64("journal-segment-bytes", 4<<20, "journal active-segment size that triggers a checkpoint (compaction + old-segment GC)")
 	jobRunners := flag.Int("job-runners", 2, "goroutines draining the async job queue (each job still passes normal admission)")
 	pollTimeout := flag.Duration("poll-timeout", 30*time.Second, "upper bound on GET /v1/jobs/{id}?wait= long-polls")
-	tenantsFile := flag.String("tenants", "", "multi-tenant gateway config (JSON): API keys, weights, quotas; SIGHUP hot-reloads it (empty: no gateway, anonymous access)")
+	tenantsFile := flag.String("tenants", "", "multi-tenant gateway config (JSON): API keys, weights, quotas; turns on weighted (deficit-round-robin) fair queueing and cross-tenant coalescing; SIGHUP hot-reloads it (empty: no gateway, anonymous access, one FIFO queue)")
 	defaultQuota := flag.Float64("default-quota", 0, "default per-tenant rate limit in req/s for tenants that omit rate_per_sec (0: unlimited)")
-	fairQueue := flag.Bool("fair-queue", false, "replace the FIFO worker queue with per-tenant weighted (deficit-round-robin) fair queueing")
 	clusterListen := flag.String("cluster-listen", "", "run as cluster coordinator: listen address for the /cluster/v1 worker protocol")
 	join := flag.String("join", "", "run as cluster worker: the coordinator's base URL, e.g. http://coord:8348")
 	advertise := flag.String("advertise", "", "worker mode: address the coordinator can reach this daemon's listener at (default: -addr with 127.0.0.1 for an empty host)")
 	workerID := flag.String("cluster-id", "", "worker mode: stable identity anchoring rendezvous placement (default: the advertised address)")
 	replicas := flag.Int("cluster-replicas", 2, "coordinator mode: replicas probed for an existing artifact before a job is placed")
 	synthWorkers := flag.Int("synth-workers", 0, "parallelism inside each synthesis run: candidate generation and validation workers (0: serial; output is byte-identical at any setting)")
-	noNeighborMemo := flag.Bool("no-neighbor-memo", false, "disable cross-pair synthesis memoization (shared generation cache + neighbor-pair warm starts)")
-	noCostModel := flag.Bool("no-cost-model", false, "disable the persisted cost model that orders candidate validation by observed win rate")
 	flag.Parse()
 
 	if *clusterListen != "" && *join != "" {
@@ -104,8 +101,9 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 
-	// The tenant registry exists before the service: its Weight hook is
-	// the fair queue's scheduling input.
+	// The tenant registry exists before the service: it switches the
+	// service to fair queueing and coalescing, and its weights are the
+	// fair queue's scheduling input.
 	var registry *tenant.Registry
 	if *tenantsFile != "" {
 		tenants, err := tenant.LoadFile(*tenantsFile)
@@ -154,17 +152,12 @@ func main() {
 		ServeTrials:          *serveTrials,
 		DegradeUnderPressure: *degrade,
 		Synth:                synth.Options{Workers: *synthWorkers},
-		DisableNeighborMemo:  *noNeighborMemo,
-		DisableCostModel:     *noCostModel,
 		Remote:               remoteOrNil(coord),
 		StreamMemBudget:      *streamMemBudget,
 		StreamMaxWait:        *streamMaxWait,
-		FairQueue:            *fairQueue,
-		TenantWeight:         registry.Weight,
-		// Coalescing rides with tenancy: the cross-tenant dedup is the
-		// gateway feature; anonymous single-tenant deployments keep
+		// Nil for anonymous deployments, which keep the FIFO queue and
 		// their exact request-per-translation semantics.
-		Coalesce: registry != nil,
+		Tenants: registry,
 	})
 	defer svc.Close()
 

@@ -1,7 +1,7 @@
-// Package loadcli is the shared driver behind `siroload` and
-// `siro -load`: compile a seeded schedule from the embedded scenario
-// corpus, replay it against a live daemon (or an in-process one it
-// spins up), and write LOAD_summary.json.
+// Package loadcli is the driver behind cmd/siroload: compile a seeded
+// schedule from the embedded scenario corpus, replay it against a live
+// daemon (or an in-process one it spins up), and write
+// LOAD_summary.json.
 //
 // It lives beside internal/scenario instead of inside it so the
 // scenario package itself never depends on internal/service — the

@@ -15,8 +15,10 @@ import (
 )
 
 // The gateway must be cheap enough to put in front of everything: auth
-// (constant-time key scan), quota bookkeeping, and the deficit-round-
-// robin queue together are held within a few percent of the anonymous
+// (constant-time key scan), quota bookkeeping, the deficit-round-robin
+// queue, and coalescing's per-request sha256 of the input (both switched
+// on by Config.Tenants, exactly as `sirod -tenants` deploys them)
+// together are held within a few percent of the anonymous
 // direct-handler baseline on the cache-hit translate path.
 // TestGatewayBenchReport (run by `make bench-gateway`) measures both
 // and writes BENCH_gateway.json for CI to archive.
@@ -67,8 +69,8 @@ func BenchmarkTranslateHTTPAnonymous(b *testing.B) {
 }
 
 // BenchmarkTranslateHTTPGateway is the full multi-tenant front door:
-// API-key auth, per-tenant accounting, and the fair queue. The bench
-// tenant has no rate or inflight cap so the measurement is the
+// API-key auth, per-tenant accounting, the fair queue, and coalescing.
+// The bench tenant has no rate or inflight cap so the measurement is the
 // machinery, not a throttle.
 func BenchmarkTranslateHTTPGateway(b *testing.B) {
 	reg := tenant.NewRegistry([]tenant.Tenant{
@@ -76,7 +78,7 @@ func BenchmarkTranslateHTTPGateway(b *testing.B) {
 		{ID: "other-a", Key: "other-key-a"},
 		{ID: "other-b", Key: "other-key-b"},
 	}, tenant.Defaults{})
-	svc := newBenchService(b, Config{FairQueue: true, TenantWeight: reg.Weight})
+	svc := newBenchService(b, Config{Tenants: reg})
 	gw := tenant.NewGateway(tenant.GatewayConfig{Registry: reg, Metrics: svc.Metrics()})
 	benchTranslateHTTP(b, gw.Wrap(NewHandler(svc, HandlerOpts{GatewayStats: gw.Stats})), "bench-key")
 }
@@ -130,7 +132,7 @@ func TestGatewayBenchReport(t *testing.T) {
 		Threshold   float64 `json:"threshold"`
 		Runs        int     `json:"runs_each"`
 	}{
-		Benchmark:   "cache-hit HTTP translate: gateway (auth + fair queue) vs anonymous",
+		Benchmark:   "cache-hit HTTP translate: gateway (auth + fair queue + coalescing) vs anonymous",
 		Pair:        benchPair().String(),
 		GatewayNsOp: gatedNs,
 		BaseNsOp:    baseNs,

@@ -17,7 +17,7 @@ import (
 	"repro/internal/version"
 )
 
-// The JSON API served by cmd/sirod (and `siro -serve`):
+// The JSON API served by cmd/sirod:
 //
 //	POST /v1/translate  {"source":"12.0","target":"3.6","ir":"..."}
 //	                    source "auto" (or omitted) detects the version.

@@ -244,11 +244,9 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 }
 
 // tenantMet returns (binding on first use) a tenant's instruments.
-// The anonymous id labels as "anonymous" so the label set stays valid.
+// Callers skip the anonymous id "", so no tenant series exists for
+// identity-less traffic.
 func (m *serviceMetrics) tenantMet(id string) *tenantMetrics {
-	if id == "" {
-		id = "anonymous"
-	}
 	m.tenantMu.Lock()
 	defer m.tenantMu.Unlock()
 	if m.tenant == nil {
@@ -310,9 +308,10 @@ func (m *serviceMetrics) tenantCoalesced(id string) {
 
 // tenantQueueDepth is the fair queue's depth observer. It runs with
 // the queue lock held, so it must not re-enter the queue (it doesn't:
-// registry and tenant-map locks only).
+// registry and tenant-map locks only). Like tenantOutcome it skips the
+// anonymous tenant, whose identity-less jobs share the fair queue.
 func (m *serviceMetrics) tenantQueueDepth(id string, depth int) {
-	if m == nil {
+	if m == nil || id == "" {
 		return
 	}
 	m.tenantMet(id).depth.Set(int64(depth))

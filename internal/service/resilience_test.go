@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,14 +37,26 @@ func gatedSynth(started chan<- struct{}, gate <-chan struct{}, calls *atomic.Int
 	}
 }
 
+// releaseOnce returns an idempotent opener for a gatedSynth gate. A
+// test defers it after its deferred Close so it runs first: a test that
+// fails while a worker is parked in gatedSynth must release the worker,
+// or the deferred Close waits on it forever and the package dies at the
+// go test timeout instead of failing.
+func releaseOnce(gate chan struct{}) func() {
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
 // A full queue sheds instead of blocking: the rejection is typed
 // Overload, Budget-classed, and counted.
 func TestServiceShedsWhenQueueFull(t *testing.T) {
 	started := make(chan struct{}, 2)
 	gate := make(chan struct{})
 	var calls atomic.Int32
+	release := releaseOnce(gate)
 	svc := New(Config{Workers: 1, QueueDepth: 1, MaxHops: 1, SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
+	defer release()
 
 	m := corpus.Tests(version.V12_0)[0].Module
 	done := make(chan error, 2)
@@ -60,7 +73,7 @@ func TestServiceShedsWhenQueueFull(t *testing.T) {
 	if !errors.Is(err, failure.Budget) {
 		t.Fatalf("shed rejection class: %v", err)
 	}
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatalf("queued request %d failed after gate opened: %v", i, err)
@@ -118,8 +131,10 @@ func TestWarmCancellationDetached(t *testing.T) {
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	var calls atomic.Int32
+	release := releaseOnce(gate)
 	svc := New(Config{Workers: 1, MaxHops: 1, SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
+	defer release()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -137,7 +152,7 @@ func TestWarmCancellationDetached(t *testing.T) {
 
 	// The abandoned synthesis still completes and is cached: the next
 	// request is a memory hit, with no second synthesis.
-	close(gate)
+	release()
 	waitFor(t, func() bool { return svc.cache.Stats().Synthesized == 1 })
 	m := corpus.Tests(version.V12_0)[0].Module
 	if _, err := svc.Translate(context.Background(), version.V12_0, version.V3_6, m); err != nil {
@@ -263,9 +278,11 @@ func TestTranslateRejectionStatusMatrix(t *testing.T) {
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	var calls atomic.Int32
+	release := releaseOnce(gate)
 	svc := New(Config{Workers: 1, QueueDepth: 1, MaxHops: 1, SynthFn: gatedSynth(started, gate, &calls)})
 	srv := httptest.NewServer(Handler(svc))
-	defer srv.Close()
+	defer srv.Close() // waits for in-flight requests, so release runs first
+	defer release()
 
 	req := TranslateRequest{Source: "12.0", Target: "3.6", IR: sourceText(t, version.V12_0)}
 	bg := make(chan struct{}, 2)
@@ -279,7 +296,7 @@ func TestTranslateRejectionStatusMatrix(t *testing.T) {
 	}
 	checkRejection(t, srv.URL, req, http.StatusTooManyRequests)
 
-	close(gate)
+	release()
 	<-bg
 	<-bg
 	svc.Close()

@@ -36,9 +36,6 @@ type Router struct {
 	// permanent memo, an opened edge heals: after the cooldown one
 	// search probes it again.
 	MaxEdgeAttempts int
-	// Trials is the per-test differential validation trial count for
-	// composed chains (default 8). Negative disables chain validation.
-	Trials int
 	// Get acquires one hop translator, normally Cache.Get bound to the
 	// service's synthesis function.
 	Get func(ctx context.Context, pair version.Pair) (*translator.Translator, error)
@@ -227,20 +224,17 @@ func onPath(path []*translator.Translator, v version.V) bool {
 	return false
 }
 
+// chainTrials is the differential trial count per corpus test when
+// validating a composed chain.
+const chainTrials = 8
+
 // validateChain differentially validates the composed chain over the
 // synthesis corpus at the chain's source version — the same
 // translate→execute→compare discipline every direct translator already
 // passed per test case, now applied end-to-end across the hops.
 func (r *Router) validateChain(ctx context.Context, ch *translator.Chain) error {
-	if r.Trials < 0 {
-		return nil
-	}
 	if r.met.stage != nil {
 		defer r.met.stage(ctx, stageValidate)()
-	}
-	trials := r.Trials
-	if trials == 0 {
-		trials = 8
 	}
 	pair := ch.Pair()
 	for _, tc := range corpus.Tests(pair.Source) {
@@ -249,7 +243,7 @@ func (r *Router) validateChain(ctx context.Context, ch *translator.Chain) error 
 			return failure.Wrapf(failure.Validation,
 				"service: chain %s failed on corpus test %q: %w", ch, tc.Name, err)
 		}
-		rep := tvalid.Validate(tc.Module, out, tvalid.Options{Trials: trials, Seed: int64(len(tc.Name))})
+		rep := tvalid.Validate(tc.Module, out, tvalid.Options{Trials: chainTrials, Seed: int64(len(tc.Name))})
 		if !rep.OK() {
 			return failure.Wrapf(failure.Validation,
 				"service: chain %s diverges on corpus test %q: %s", ch, tc.Name, rep)

@@ -69,8 +69,6 @@ type Config struct {
 	// already holding it. Errors wrapping ErrRemoteUnavailable fall back
 	// to local synthesis.
 	Remote RemoteSynthesizer
-	// MaxCachedTranslators bounds the in-memory LRU (default 64).
-	MaxCachedTranslators int
 	// Workers is the translation worker-pool size (default 4).
 	Workers int
 	// QueueDepth bounds the pending-job queue; a full queue makes
@@ -85,9 +83,6 @@ type Config struct {
 	// MaxHops caps multi-hop route length; 1 disables routing, 0 means
 	// the router default (3).
 	MaxHops int
-	// RouteTrials is the differential trial count per corpus test when
-	// validating a composed chain (0 = default 8, negative = disable).
-	RouteTrials int
 	// Versions is the version universe served and routed over; defaults
 	// to version.All.
 	Versions []version.V
@@ -95,20 +90,6 @@ type Config struct {
 	Synth synth.Options
 	// SynthFn overrides the synthesis path (chaos/testing seam).
 	SynthFn SynthFn
-	// DisableNeighborMemo turns off cross-pair synthesis memoization:
-	// the shared generation cache and the neighbor-hint registry that
-	// warm-start one pair's synthesis from a completed neighbor's
-	// refined cells. Sharing only ever engages for the canonical API
-	// libraries (Synth.Getters/Builders nil), so this knob exists for
-	// benchmarking cold paths, not for correctness.
-	DisableNeighborMemo bool
-	// DisableCostModel turns off the telemetry-fed candidate ordering
-	// model. When enabled (the default) the model persists beside the
-	// translator cache as siro-costmodel.json and reorders each
-	// synthesis run's enumeration so observed winners validate first —
-	// which never changes what is synthesized, only how much of a test
-	// deadline the favourites get.
-	DisableCostModel bool
 	// Metrics is the registry the service's instruments register into;
 	// nil creates a private registry (retrievable via Service.Metrics,
 	// served by the HTTP handler at /metrics).
@@ -150,19 +131,6 @@ type Config struct {
 	// ServeValidate overrides the serve-time validator (test seam). A
 	// non-nil error quarantines the serving translator.
 	ServeValidate func(src, out *ir.Module) error
-	// FairQueue replaces the single FIFO job queue with a per-tenant
-	// deficit-round-robin scheduler (see internal/tenant.FairQueue):
-	// each tenant gets its own bounded queue (capacity = the shed
-	// threshold) and workers serve backlogged tenants in proportion to
-	// TenantWeight. Admission never blocks in this mode — a tenant
-	// whose own queue is full is shed — so FairQueue implies shedding
-	// even when ShedAt is negative.
-	FairQueue bool
-	// TenantWeight resolves a tenant id to its fair-queue share; nil
-	// (or values < 1) means weight 1. Consulted live on every
-	// scheduling turn, so a hot-reloaded weight takes effect without a
-	// restart. Typically tenant.(*Registry).Weight.
-	TenantWeight func(id string) int
 	// StreamMemBudget bounds the process-wide memory the streaming
 	// translation path may hold in flight at once, in bytes. A stream
 	// that would exceed it parks (bounded by StreamMaxWait) until other
@@ -173,12 +141,25 @@ type Config struct {
 	// StreamMaxWait bounds how long one stream may park waiting for
 	// streaming-memory capacity (default 5s).
 	StreamMaxWait time.Duration
-	// Coalesce shares one in-flight translation among concurrent
-	// requests for the identical (source, target, input text) — across
-	// tenants — so a thundering herd on one module costs one synthesis
-	// and one translation. Each requester is still recorded (and
-	// charged) individually.
-	Coalesce bool
+	// Tenants turns the service multi-tenant; nil keeps the anonymous
+	// single-FIFO service. A registry changes two things:
+	//
+	//   - scheduling: the FIFO job channel is replaced by a
+	//     deficit-round-robin tenant.FairQueue. Each tenant gets its own
+	//     bounded queue (capacity = the shed threshold) and workers serve
+	//     backlogged tenants in proportion to Tenants.Weight, read on
+	//     every scheduling turn so a hot-reloaded weight applies without
+	//     a restart. Admission never blocks: a tenant whose own queue is
+	//     full is shed, even when ShedAt is negative.
+	//   - coalescing: concurrent textual requests for the identical
+	//     (source, target, input text) share one in-flight translation,
+	//     across tenants, so a thundering herd on one module costs one
+	//     synthesis and one translation. Each requester is still
+	//     recorded (and charged) individually.
+	//
+	// Anonymous deployments keep the FIFO channel: DRR over a single
+	// tenant dequeues in FIFO order anyway, with more locking per job.
+	Tenants *tenant.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -239,7 +220,7 @@ type Service struct {
 	met      *serviceMetrics         // nil when observability is disabled
 	memgov   *resilience.MemGovernor // streaming-memory admission control
 	jobs     chan *job
-	fq       *tenant.FairQueue[*job] // replaces jobs when Config.FairQueue is set
+	fq       *tenant.FairQueue[*job] // replaces jobs when Config.Tenants is set
 	wg       sync.WaitGroup          // workers
 	senders  sync.WaitGroup          // in-flight enqueues, so drain can safely close(jobs)
 	start    time.Time
@@ -251,9 +232,9 @@ type Service struct {
 	jobEWMA   atomic.Int64 // smoothed job duration (ns) for deadline-aware admission
 	serveSeed atomic.Int64 // serve-time validation trial seeds
 
-	// Cross-pair synthesis accelerators (nil when disabled or when the
-	// synth options carry library overrides — the chaos seam must never
-	// leak poisoned results between pairs).
+	// Cross-pair synthesis accelerators (nil when the synth options
+	// carry library overrides — the chaos seam must never leak poisoned
+	// results between pairs).
 	genCache *synth.GenCache
 	hints    *synth.HintsRegistry
 	cost     *synth.CostModel
@@ -295,7 +276,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:       cfg,
-		cache:     NewCache(cfg.CacheDir, cfg.MaxCachedTranslators, cfg.Synth),
+		cache:     NewCache(cfg.CacheDir, 0, cfg.Synth),
 		met:       newServiceMetrics(cfg.Metrics),
 		memgov:    resilience.NewMemGovernor(cfg.StreamMemBudget, cfg.StreamMaxWait),
 		jobs:      make(chan *job, cfg.QueueDepth),
@@ -307,12 +288,12 @@ func New(cfg Config) *Service {
 		tenants:   map[string]*TenantStats{},
 		flights:   map[string]*flight{},
 	}
-	if cfg.FairQueue {
+	if cfg.Tenants != nil {
 		cap := cfg.QueueDepth
 		if t := s.shedThreshold(); t > 0 && t < cap {
 			cap = t
 		}
-		s.fq = tenant.NewFairQueue[*job](cap, cfg.TenantWeight)
+		s.fq = tenant.NewFairQueue[*job](cap, cfg.Tenants.Weight)
 		if s.met != nil {
 			s.fq.SetDepthObserver(s.met.tenantQueueDepth)
 		}
@@ -321,18 +302,17 @@ func New(cfg Config) *Service {
 		s.cache.met = s.met.cache
 	}
 	s.cache.SetMaxBytes(cfg.CacheMaxBytes)
+	// The cost model persists beside the translator cache and reorders
+	// each synthesis run's enumeration so observed winners validate
+	// first, which never changes what is synthesized.
 	if canonical := cfg.Synth.Getters == nil && cfg.Synth.Builders == nil; canonical {
-		if !cfg.DisableNeighborMemo {
-			s.genCache = synth.NewGenCache()
-			s.hints = synth.NewHintsRegistry()
-		}
-		if !cfg.DisableCostModel {
-			if cfg.CacheDir != "" {
-				s.costPath = filepath.Join(cfg.CacheDir, "siro-costmodel.json")
-				s.cost = synth.LoadCostModel(s.costPath)
-			} else {
-				s.cost = synth.NewCostModel()
-			}
+		s.genCache = synth.NewGenCache()
+		s.hints = synth.NewHintsRegistry()
+		if cfg.CacheDir != "" {
+			s.costPath = filepath.Join(cfg.CacheDir, "siro-costmodel.json")
+			s.cost = synth.LoadCostModel(s.costPath)
+		} else {
+			s.cost = synth.NewCostModel()
 		}
 	}
 	for _, v := range cfg.Versions {
@@ -348,7 +328,6 @@ func New(cfg Config) *Service {
 	s.router = &Router{
 		Versions: cfg.Versions,
 		MaxHops:  cfg.MaxHops,
-		Trials:   cfg.RouteTrials,
 		Get:      s.hopTranslator,
 		Breakers: s.breakers,
 	}
@@ -749,7 +728,7 @@ func (s *Service) TranslateTextResult(ctx context.Context, text string, src vers
 			return TextResult{Source: src}, failure.Wrapf(failure.Parse, "service: reading %s IR: %w", src, err)
 		}
 	}
-	if s.cfg.Coalesce {
+	if s.cfg.Tenants != nil {
 		return s.coalesced(ctx, coalesceKey(src, tgt, text), func() (TextResult, error) {
 			return s.translateParsed(ctx, src, tgt, m)
 		})
@@ -1211,7 +1190,7 @@ func (s *Service) synthesizeOnce(ctx context.Context, pair version.Pair) (res *s
 	// Thread the cross-pair accelerators through: the generation cache
 	// and cost model are shared by every pair, the hints come from the
 	// nearest already-synthesized neighbor. All three are nil-safe and
-	// nil when disabled or when the chaos seam overrides the libraries.
+	// nil when the chaos seam overrides the libraries.
 	opts.GenCache = s.genCache
 	opts.Cost = s.cost
 	opts.Hints = s.hints.Nearest(pair)

@@ -12,17 +12,17 @@ import (
 
 // Tenancy support: the service itself stays tenant-agnostic on the
 // happy path — identity arrives as a context value stamped by the
-// tenant.Gateway — but three pieces of machinery become identity-aware
-// when one is present:
+// tenant.Gateway — but three pieces of machinery become identity-aware:
 //
-//   - scheduling: with Config.FairQueue the single FIFO job channel is
-//     replaced by a deficit-round-robin tenant.FairQueue, so a tenant
-//     flooding the queue delays its own jobs, not everyone's;
-//   - accounting: per-tenant request/failure/shed/coalesced counters in
-//     Stats().Tenants and tenant-labelled metrics;
-//   - coalescing: identical (pair, input) requests in flight at the
-//     same time share one translation, across tenants, while each
-//     requester is still charged.
+//   - scheduling: with Config.Tenants set, the single FIFO job channel
+//     is replaced by a deficit-round-robin tenant.FairQueue, so a
+//     tenant flooding the queue delays its own jobs, not everyone's;
+//   - coalescing: with Config.Tenants set, identical (pair, input)
+//     requests in flight at the same time share one translation,
+//     across tenants, while each requester is still charged;
+//   - accounting: whenever a request carries an identity, per-tenant
+//     request/failure/shed/coalesced counters in Stats().Tenants and
+//     tenant-labelled metrics. Anonymous requests are never sliced.
 
 // TenantStats is one tenant's slice of the service counters.
 type TenantStats struct {

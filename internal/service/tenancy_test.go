@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,10 +198,12 @@ func TestTenantRemovedWhileJobsQueued(t *testing.T) {
 	started := make(chan struct{}, 4)
 	gate := make(chan struct{})
 	var calls atomic.Int32
+	release := releaseOnce(gate)
 	svc := New(Config{Workers: 1, MaxHops: 1, SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
 	js := newJobsT(t, svc, t.TempDir())
 	defer js.Close()
+	defer release()
 	reg, srv := tenantStack(t, svc, []tenant.Tenant{{ID: "dep", Key: "k-dep"}}, js)
 
 	resp := postJSON(t, srv.URL+"/v1/batch", "k-dep", BatchRequest{Jobs: []BatchItem{
@@ -227,7 +231,7 @@ func TestTenantRemovedWhileJobsQueued(t *testing.T) {
 	}
 
 	// The queued job still finishes, attributed to the departed tenant.
-	close(gate)
+	release()
 	v := waitTerminal(t, js, acc.Jobs[0].ID)
 	if v.State != string(JobDone) {
 		t.Fatalf("orphaned job state = %s (%s)", v.State, v.Error)
@@ -246,8 +250,10 @@ func TestCoalesceAcrossTenants(t *testing.T) {
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	svc := New(Config{Workers: 2, Coalesce: true, SynthFn: gatedSynth(started, gate, &calls)})
+	release := releaseOnce(gate)
+	svc := New(Config{Workers: 2, Tenants: tenant.NewRegistry(nil, tenant.Defaults{}), SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
+	defer release()
 
 	text := sourceText(t, version.V12_0)
 	type out struct {
@@ -271,7 +277,7 @@ func TestCoalesceAcrossTenants(t *testing.T) {
 		return len(svc.flights) == 1
 	})
 	time.Sleep(10 * time.Millisecond)
-	close(gate)
+	release()
 
 	var rendered [2]string
 	for i := 0; i < 2; i++ {
@@ -309,8 +315,10 @@ func TestCoalesceFollowerRetriesLeaderBudget(t *testing.T) {
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	svc := New(Config{Workers: 2, MaxHops: 1, Coalesce: true, SynthFn: gatedSynth(started, gate, &calls)})
+	release := releaseOnce(gate)
+	svc := New(Config{Workers: 2, MaxHops: 1, Tenants: tenant.NewRegistry(nil, tenant.Defaults{}), SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
+	defer release()
 
 	text := sourceText(t, version.V12_0)
 	leaderCtx, cancelLeader := context.WithCancel(tenant.WithIdentity(context.Background(), "a"))
@@ -338,7 +346,7 @@ func TestCoalesceFollowerRetriesLeaderBudget(t *testing.T) {
 	if err := <-leaderDone; failure.ClassOf(err) != failure.Budget {
 		t.Fatalf("cancelled leader error class = %v, want Budget", failure.ClassOf(err))
 	}
-	close(gate) // detached synthesis completes into the cache
+	release() // detached synthesis completes into the cache
 	if err := <-followerDone; err != nil {
 		t.Fatalf("follower inherited the leader's budget failure: %v", err)
 	}
@@ -353,9 +361,11 @@ func TestFairQueuePerTenantShed(t *testing.T) {
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	svc := New(Config{Workers: 1, QueueDepth: 2, ShedAt: 2, MaxHops: 1, FairQueue: true,
+	release := releaseOnce(gate)
+	svc := New(Config{Workers: 1, QueueDepth: 2, ShedAt: 2, MaxHops: 1, Tenants: tenant.NewRegistry(nil, tenant.Defaults{}),
 		SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
+	defer release()
 
 	m := benchModule(t, version.V12_0)
 	ctxA := tenant.WithIdentity(context.Background(), "a")
@@ -390,7 +400,7 @@ func TestFairQueuePerTenantShed(t *testing.T) {
 	go translate(ctxB)
 	waitFor(t, func() bool { return svc.fq.Depth("b") == 1 })
 
-	close(gate)
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -404,6 +414,59 @@ func TestFairQueuePerTenantShed(t *testing.T) {
 	}
 	if st.Tenants["b"].Shed != 0 || st.Tenants["b"].Completed != 1 {
 		t.Fatalf("tenant b stats = %+v, want no shed, 1 completed", st.Tenants["b"])
+	}
+}
+
+// --- anonymous metric surface ----------------------------------------
+
+// Identity-less traffic never mints tenant series or per-tenant stats:
+// not in an untenanted service (the anonymous deployment's metric
+// surface), and not in a tenanted one whose fair queue and coalescing
+// see requests without an identity.
+func TestAnonymousTrafficMintsNoTenantSeries(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tenants *tenant.Registry
+	}{
+		{"untenanted", nil},
+		{"tenanted", tenant.NewRegistry(nil, tenant.Defaults{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Config{Workers: 2, Tenants: tc.tenants})
+			defer svc.Close()
+			srv := httptest.NewServer(Handler(svc))
+			defer srv.Close()
+
+			text := sourceText(t, version.V12_0)
+			if resp, _ := postTranslate(t, srv.URL, TranslateRequest{Source: "12.0", Target: "3.6", IR: text}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("JSON translate: status %d", resp.StatusCode)
+			}
+			if resp, _ := postTranslate(t, srv.URL, TranslateRequest{Source: "12.0", Target: "3.6", IR: "not IR"}); resp.StatusCode == http.StatusOK {
+				t.Fatal("malformed JSON translate succeeded")
+			}
+			// A body of unknown length always takes the streaming path.
+			body := io.MultiReader(strings.NewReader(text))
+			resp, err := http.Post(srv.URL+"/v1/translate?source=12.0&target=3.6", "text/plain", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || resp.Trailer.Get("X-Siro-Status") != "ok" {
+				t.Fatalf("stream translate: status %d, X-Siro-Status %q", resp.StatusCode, resp.Trailer.Get("X-Siro-Status"))
+			}
+
+			st := svc.Stats()
+			if st.Stream.Requests != 1 || st.Requests < 2 {
+				t.Fatalf("traffic not recorded: %d requests, %d streamed", st.Requests, st.Stream.Requests)
+			}
+			if len(st.Tenants) != 0 {
+				t.Fatalf("anonymous traffic sliced into tenants: %+v", st.Tenants)
+			}
+			if metrics := scrape(t, http.DefaultClient, srv.URL+"/metrics"); strings.Contains(metrics, "siro_tenant_") {
+				t.Fatalf("anonymous traffic minted tenant series:\n%s", metrics)
+			}
+		})
 	}
 }
 

@@ -119,7 +119,7 @@ func slowServe(d time.Duration) func(src, out *ir.Module) error {
 func soakFairness(t *testing.T, dur time.Duration, sum *tenantSoakSummary) {
 	const heavyStreams, lightStreams = 20, 2
 	svc := New(Config{
-		Workers: 1, QueueDepth: 64, MaxHops: 1, FairQueue: true,
+		Workers: 1, QueueDepth: 64, MaxHops: 1, Tenants: tenant.NewRegistry(nil, tenant.Defaults{}),
 		ServeValidate: slowServe(2 * time.Millisecond),
 	})
 	defer svc.Close()
@@ -185,8 +185,10 @@ func soakCoalesce(t *testing.T, sum *tenantSoakSummary) {
 	started := make(chan struct{}, 1)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	svc := New(Config{Workers: 2, Coalesce: true, SynthFn: gatedSynth(started, gate, &calls)})
+	release := releaseOnce(gate)
+	svc := New(Config{Workers: 2, Tenants: tenant.NewRegistry(nil, tenant.Defaults{}), SynthFn: gatedSynth(started, gate, &calls)})
 	defer svc.Close()
+	defer release()
 
 	text := sourceText(t, version.V12_0)
 	errs := make(chan error, 2)
@@ -204,7 +206,7 @@ func soakCoalesce(t *testing.T, sum *tenantSoakSummary) {
 		return len(svc.flights) == 1
 	})
 	time.Sleep(10 * time.Millisecond) // let b reach the flight
-	close(gate)
+	release()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("coalesced request: %v", err)
@@ -239,7 +241,7 @@ func soakContention(t *testing.T, dur time.Duration, sum *tenantSoakSummary) {
 	}, tenant.Defaults{})
 	svc := New(Config{
 		Workers: 2, QueueDepth: 64, ShedAt: 16, MaxHops: 1,
-		FairQueue: true, TenantWeight: reg.Weight, Coalesce: true,
+		Tenants:       reg,
 		JobTimeout:    10 * time.Second,
 		ServeValidate: slowServe(2 * time.Millisecond),
 	})

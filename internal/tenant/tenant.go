@@ -3,10 +3,11 @@
 // and concurrency quotas, a deficit-round-robin fair queue that keeps
 // one tenant's batch flood from starving another's interactive
 // traffic, and per-tenant accounting. It sits in front of
-// internal/service (the Gateway wraps the service's HTTP handler; the
-// FairQueue replaces the service's FIFO worker queue) and turns the
-// admission, shedding, breaker, and cluster machinery underneath into
-// an identity-aware service.
+// internal/service (the Gateway wraps the service's HTTP handler; a
+// Registry passed as service.Config.Tenants swaps the service's FIFO
+// worker queue for a FairQueue) and turns the admission, shedding,
+// breaker, and cluster machinery underneath into an identity-aware
+// service.
 //
 // Keys are secrets: they are compared in constant time
 // (crypto/subtle), never logged, and never echoed in metrics, traces,
@@ -266,7 +267,9 @@ func (r *Registry) Authenticate(key string) (*Grant, error) {
 }
 
 // Weight returns the tenant's fair-queue weight (1 for unknown ids and
-// the anonymous tenant), the hook service.Config.TenantWeight wants.
+// the anonymous tenant). A service built with this registry as
+// service.Config.Tenants reads it on every scheduling turn, so a
+// Replace re-weights queued tenants without a restart.
 func (r *Registry) Weight(id string) int {
 	if r == nil {
 		return 1
