@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz soak soak-smoke cluster-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-journal bench-gateway bench-synth bench-stream bench-e2e clean
+.PHONY: check fmt vet build test race fuzz soak soak-smoke cluster-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-gateway bench-synth bench-stream bench-e2e clean
 
 check: fmt vet build test race
 
@@ -121,7 +121,7 @@ load-smoke:
 # Umbrella benchmark gate: every in-process bench-* gate, so a new gate
 # added here cannot silently drift out of "run all the benchmarks". The
 # end-to-end benchmark (bench-e2e) is a separate, minutes-long run.
-bench: bench-micro bench-service bench-obs bench-journal bench-gateway bench-synth bench-stream
+bench: bench-micro bench-service bench-obs bench-gateway bench-synth bench-stream
 
 bench-micro:
 	$(GO) test -bench=. -benchmem
@@ -135,12 +135,6 @@ bench-service:
 # observability layer costs <= 5% and writes BENCH_obs.json.
 bench-obs:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_obs.json $(GO) test ./internal/service -run TestObsBenchReport -count=1 -v
-
-# Journaled vs unjournaled synchronous translate benchmark; asserts the
-# durable job journal costs <= 5% on the sync hot path and writes
-# BENCH_journal.json.
-bench-journal:
-	SIRO_BENCH_JSON=$(CURDIR)/BENCH_journal.json $(GO) test ./internal/service -run TestJournalBenchReport -count=1 -v
 
 # Gateway vs anonymous direct-handler benchmark; asserts the
 # multi-tenant front door costs <= 5% on the cache-hit translate path

@@ -1,7 +1,9 @@
 // Command siro synthesizes IR translators for version pairs, the
-// Table 3 workflow of the paper, and translates one input in bounded
-// memory. The translation daemon is cmd/sirod; the traffic-replay load
-// driver is cmd/siroload.
+// Table 3 workflow of the paper, and translates textual IR files
+// between versions. Every mode runs on one in-process translation
+// service, so it shares cmd/sirod's cache, artifacts and cross-pair
+// synthesis accelerators. The translation daemon is cmd/sirod; the
+// traffic-replay load driver is cmd/siroload.
 //
 //	siro -src 12.0 -tgt 3.6        synthesize one pair and print stats
 //	siro -all                      synthesize all ten Table 3 pairs
@@ -9,11 +11,18 @@
 //	siro -src 12.0 -tgt 3.6 -save FILE   also write the translator artifact (one pair only)
 //	siro -src 12.0 -tgt 3.6 -cache DIR   reuse/persist the translator cache
 //	siro -warm-matrix -cache DIR   synthesize every version pair into the cache
-//	siro -stream -src 12.0 -tgt 3.6 < big.ll > big-3.6.ll   bounded-memory translation
+//	siro -in big.ll -src 12.0 -tgt 3.6 -out big-3.6.ll   translate a file
+//	siro -in - -src auto -tgt 3.6 < prog.ll > prog-3.6.ll   detect the source version
 //
-// -stream translates textual IR one function at a time: peak memory is
+// -in translates a file (- reads stdin) to -out (default stdout). With
+// an explicit -src it streams one function at a time: peak memory is
 // O(largest function), not O(module), so modules far larger than RAM
-// pass through. The output is byte-identical to the batch pipeline's.
+// pass through. -src auto reads the whole input, detects its version
+// (the newest reader that accepts it, named on stderr), and translates
+// the same bytes. Either way the output is byte-identical to the batch
+// pipeline's, and -out is replaced only when the whole translation
+// succeeds. -partial drops unsupported constructs, reporting each on
+// stderr, instead of failing.
 //
 // With -cache, translators come from the content-addressed cache in
 // DIR (keyed by version pair and API-registry fingerprint) instead of
@@ -27,6 +36,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -37,16 +47,16 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/corpus"
 	"repro/internal/failure"
 	"repro/internal/ir"
+	"repro/internal/irtext"
 	"repro/internal/service"
 	"repro/internal/synth"
 	"repro/internal/version"
 )
 
 func main() {
-	srcFlag := flag.String("src", "", "source IR version (e.g. 12.0)")
+	srcFlag := flag.String("src", "", "source IR version (e.g. 12.0); with -in, \"auto\" detects it")
 	tgtFlag := flag.String("tgt", "", "target IR version (e.g. 3.6)")
 	all := flag.Bool("all", false, "synthesize all ten Table 3 pairs")
 	emit := flag.Bool("emit", false, "print the synthesized translator code")
@@ -55,23 +65,31 @@ func main() {
 	cacheMax := flag.Int64("cache-max-bytes", 0, "on-disk artifact budget with -cache: past it the least-recently-hit artifacts are GC'd (0: unbounded)")
 	warmMatrix := flag.Bool("warm-matrix", false, "synthesize the full version-pair matrix into -cache, nearest pairs first, then exit (Ctrl-C stops cleanly)")
 	synthWorkers := flag.Int("synth-workers", 0, "parallelism inside each synthesis run: candidate generation and validation workers (0: serial; output is byte-identical at any setting)")
-	stream := flag.Bool("stream", false, "translate textual IR function-at-a-time in bounded memory (requires -src and -tgt; reads -in, writes -out)")
-	inFile := flag.String("in", "", "with -stream: read source IR from this file (default stdin)")
-	outFile := flag.String("out", "", "with -stream: write translated IR to this file (default stdout)")
-	partial := flag.Bool("partial", false, "with -stream: drop unsupported constructs (reported on stderr) instead of failing")
+	inFile := flag.String("in", "", "translate this textual IR file (- for stdin) from -src to -tgt; streams in bounded memory unless -src is auto")
+	outFile := flag.String("out", "", "with -in: write the translated IR to this file, replaced only on success (default stdout)")
+	partial := flag.Bool("partial", false, "with -in: drop unsupported constructs (reported on stderr) instead of failing")
 	flag.Parse()
 
-	if *stream {
-		runStream(*srcFlag, *tgtFlag, *inFile, *outFile, *partial, *cacheDir, *cacheMax, *synthWorkers)
-		return
-	}
-	if *warmMatrix {
-		runWarmMatrix(*cacheDir, *cacheMax, *synthWorkers)
-		return
-	}
+	svc := service.New(service.Config{CacheDir: *cacheDir, CacheMaxBytes: *cacheMax,
+		Synth: synth.Options{Workers: *synthWorkers},
+	})
+	defer svc.Close()
+	ctx := context.Background()
 
 	var pairs []version.Pair
 	switch {
+	case *inFile != "":
+		if *srcFlag == "" || *tgtFlag == "" {
+			fmt.Fprintln(os.Stderr, "siro: -in requires -tgt and -src (a version, or auto to detect it)")
+			os.Exit(2)
+		}
+		if err := translateFile(ctx, svc, *srcFlag, *tgtFlag, *inFile, *outFile, *partial); err != nil {
+			fatal(err)
+		}
+		return
+	case *warmMatrix:
+		runWarmMatrix(svc, *cacheDir)
+		return
 	case *all && *save != "":
 		// Every pair would overwrite the same file, leaving only the
 		// last one's artifact.
@@ -94,46 +112,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	synthOpts := synth.Options{Workers: *synthWorkers}
-	cache := service.NewCache(*cacheDir, 0, synthOpts)
-	cache.SetMaxBytes(*cacheMax)
-	// Cross-pair accelerators, shared across the run the same way the
-	// service shares them: one generation cache, one hints registry, one
-	// cost model (persisted beside the artifact cache when -cache is
-	// set). A -all run synthesizes ten related pairs, so the sharing is
-	// where most of its speedup comes from.
-	gen := synth.NewGenCache()
-	hints := synth.NewHintsRegistry()
-	var cost *synth.CostModel
-	costPath := ""
-	if *cacheDir != "" {
-		costPath = filepath.Join(*cacheDir, "siro-costmodel.json")
-		cost = synth.LoadCostModel(costPath)
-	} else {
-		cost = synth.NewCostModel()
-	}
 	fmt.Println("No.  Pair          #Common  #New  #AtomicTrans(LOC)  #InstTrans(LOC)  Time")
 	for i, p := range pairs {
 		start := time.Now()
-		// Route through the content-addressed cache: a prior run's
+		// Warm goes through the content-addressed cache: a prior run's
 		// artifact (same registry fingerprint) skips synthesis. With no
 		// -cache the cache is memory-only and this is a plain synthesis.
-		res, origin, err := cache.GetResult(context.Background(), p, func() (*synth.Result, error) {
-			opts := synthOpts
-			opts.GenCache = gen
-			opts.Cost = cost
-			opts.Hints = hints.Nearest(p)
-			s := synth.New(p.Source, p.Target, opts)
-			out, err := s.Run(corpus.Tests(p.Source))
-			if err != nil {
-				return nil, err
-			}
-			hints.Store(out.Hints(opts))
-			if costPath != "" {
-				_ = cost.Save(costPath)
-			}
-			return out, nil
-		})
+		before := svc.Cache().Stats()
+		if err := svc.Warm(ctx, p.Source, p.Target); err != nil {
+			fatal(fmt.Errorf("%s: %w", p, err))
+		}
+		res, _, err := svc.Cache().GetResult(ctx, p, nil)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", p, err))
 		}
@@ -143,7 +132,7 @@ func main() {
 		instLOC := synth.CountLOC(res.RenderAll())
 		note := ""
 		if *cacheDir != "" {
-			note = " [" + origin.String() + "]"
+			note = " [" + warmOrigin(before, svc.Cache().Stats()).String() + "]"
 		}
 		fmt.Printf("%-4d %-13s %7d %5d %18d %16d  %v%s\n",
 			i+1, p, common, newOps, atomicLOC, instLOC, time.Since(start).Round(time.Millisecond), note)
@@ -166,16 +155,24 @@ func main() {
 	}
 }
 
+// warmOrigin names where a Warm found its translator, from the cache
+// counters read around it.
+func warmOrigin(before, after service.CacheStats) service.Origin {
+	switch {
+	case after.Synthesized > before.Synthesized:
+		return service.OriginSynth
+	case after.DiskHits > before.DiskHits:
+		return service.OriginDisk
+	}
+	return service.OriginMemory
+}
+
 // runWarmMatrix pre-synthesizes every ordered version pair into the
 // cache, nearest (cheapest, most-likely-requested) pairs first — the
 // offline equivalent of sirod's -auto-warm. Interruption is clean: the
 // pairs already warmed stay persisted and a rerun skips them by cache
 // hit.
-func runWarmMatrix(cacheDir string, cacheMax int64, synthWorkers int) {
-	svc := service.New(service.Config{CacheDir: cacheDir, CacheMaxBytes: cacheMax,
-		Synth: synth.Options{Workers: synthWorkers},
-	})
-	defer svc.Close()
+func runWarmMatrix(svc *service.Service, cacheDir string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	total := len(svc.MatrixPairs())
@@ -196,64 +193,92 @@ func runWarmMatrix(cacheDir string, cacheMax int64, synthWorkers int) {
 	fmt.Printf("warmed %d pairs in %v (cache %q)\n", n, time.Since(start).Round(time.Millisecond), cacheDir)
 }
 
-// runStream is the one-shot bounded-memory pipeline: look the
-// translator up (or synthesize it once), then stream -in to -out one
-// function at a time. Nothing module-sized is ever resident.
-func runStream(srcs, tgts, inFile, outFile string, partial bool, cacheDir string, cacheMax int64, synthWorkers int) {
-	if srcs == "" || tgts == "" {
-		fmt.Fprintln(os.Stderr, "siro: -stream requires -src and -tgt (auto-detection would read the whole input)")
-		os.Exit(2)
-	}
-	src, err := version.Parse(srcs)
-	if err != nil {
-		fatal(err)
-	}
+// translateFile is the -in mode: get the pair's translator from the
+// service (synthesizing it once), then stream the input through it.
+// Nothing module-sized is resident unless srcs is "auto", which must
+// read the whole input to detect its version.
+func translateFile(ctx context.Context, svc *service.Service, srcs, tgts, inFile, outFile string, partial bool) error {
 	tgt, err := version.Parse(tgts)
 	if err != nil {
-		fatal(err)
-	}
-	p := version.Pair{Source: src, Target: tgt}
-	opts := synth.Options{Workers: synthWorkers}
-	cache := service.NewCache(cacheDir, 0, opts)
-	cache.SetMaxBytes(cacheMax)
-	tr, _, err := cache.Get(context.Background(), p, func() (*synth.Result, error) { return service.DefaultSynthFn(p, opts) })
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", p, err))
+		return err
 	}
 	in := io.Reader(os.Stdin)
-	if inFile != "" {
+	if inFile != "-" {
 		f, err := os.Open(inFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	}
-	out := io.Writer(os.Stdout)
-	if outFile != "" {
-		f, err := os.Create(outFile)
+	var src version.V
+	if srcs == "auto" {
+		data, err := io.ReadAll(in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
-		out = f
+		if _, src, err = irtext.Detect(string(data), svc.Versions()); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "siro: detected source version", src)
+		in = bytes.NewReader(data)
+	} else if src, err = version.Parse(srcs); err != nil {
+		return err
 	}
-	bw := bufio.NewWriter(out)
-	if partial {
-		sites, serr := tr.TranslateStreamPartial(in, bw)
-		err = serr
+	p := version.Pair{Source: src, Target: tgt}
+	if err := svc.Warm(ctx, src, tgt); err != nil {
+		return fmt.Errorf("%s: %w", p, err)
+	}
+	tr, _, err := svc.Cache().Get(ctx, p, nil)
+	if err != nil {
+		return fmt.Errorf("%s: %w", p, err)
+	}
+	return writeOutput(outFile, func(w io.Writer) error {
+		if !partial {
+			return tr.TranslateStream(in, w)
+		}
+		sites, err := tr.TranslateStreamPartial(in, w)
 		for _, site := range sites {
 			fmt.Fprintf(os.Stderr, "siro: dropped unsupported %s in @%s\n", site.Op, site.Func)
 		}
-	} else {
-		err = tr.TranslateStream(in, bw)
+		return err
+	})
+}
+
+// writeOutput runs write against outFile ("" is stdout) through a
+// buffer. A file is written as a temporary sibling that replaces
+// outFile only once write, Flush and Close all succeed, so a failed
+// translation never leaves a truncated outFile behind.
+func writeOutput(outFile string, write func(io.Writer) error) error {
+	if outFile == "" {
+		bw := bufio.NewWriter(os.Stdout)
+		if err := write(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	}
+	f, err := os.CreateTemp(filepath.Dir(outFile), "."+filepath.Base(outFile)+".*")
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), outFile)
 	}
 	if err != nil {
-		fatal(err)
+		os.Remove(f.Name())
 	}
-	if err := bw.Flush(); err != nil {
-		fatal(err)
-	}
+	return err
 }
 
 func fatal(err error) {

@@ -61,14 +61,21 @@ func TestOneShotCacheReuse(t *testing.T) {
 	}
 }
 
-// -stream output is byte-identical to the batch pipeline's translation
-// of the same input.
-func TestStreamMatchesBatch(t *testing.T) {
+// genText renders a generated 12-function module as 12.0 text.
+func genText(t *testing.T) string {
+	t.Helper()
 	m := irgen.Generate(irgen.Config{Seed: 7, Ver: version.V12_0, Funcs: 12, Blocks: 5})
 	text, err := irtext.NewWriter(version.V12_0).WriteModule(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return text
+}
+
+// -in with an explicit -src streams, and the output is byte-identical
+// to the batch pipeline's translation of the same input.
+func TestStreamMatchesBatch(t *testing.T) {
+	text := genText(t)
 	svc := service.New(service.Config{})
 	defer svc.Close()
 	want, _, _, err := svc.TranslateText(context.Background(), text, version.V12_0, version.V3_6)
@@ -77,7 +84,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 
 	outFile := filepath.Join(t.TempDir(), "out.ll")
-	_, errOut, code := runSiro(t, text, "-stream", "-src", "12.0", "-tgt", "3.6", "-out", outFile)
+	_, errOut, code := runSiro(t, text, "-in", "-", "-src", "12.0", "-tgt", "3.6", "-out", outFile)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\n%s", code, errOut)
 	}
@@ -87,6 +94,51 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Fatalf("streamed output differs from batch\nbatch:\n%s\nstream:\n%s", want, got)
+	}
+}
+
+// -src auto detects the version, names it on stderr, and prints what
+// the service's detect-then-translate pipeline returns.
+func TestInAutoDetect(t *testing.T) {
+	text := genText(t)
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	want, detected, _, err := svc.TranslateText(context.Background(), text, version.V{}, version.V3_6)
+	if err != nil {
+		t.Fatalf("batch translation: %v", err)
+	}
+
+	in := filepath.Join(t.TempDir(), "in.ll")
+	if err := os.WriteFile(in, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := runSiro(t, "", "-in", in, "-src", "auto", "-tgt", "3.6")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\n%s", code, errOut)
+	}
+	if out != want {
+		t.Fatalf("-src auto output differs from TranslateText\nwant:\n%s\ngot:\n%s", want, out)
+	}
+	if line := "detected source version " + detected.String(); !strings.Contains(errOut, line) {
+		t.Fatalf("stderr does not name the detected version (%q):\n%s", line, errOut)
+	}
+}
+
+// A translation that fails partway leaves nothing at -out: no truncated
+// file, and no temporary file beside it.
+func TestFailedTranslationLeavesNoOutput(t *testing.T) {
+	dir := t.TempDir()
+	outFile := filepath.Join(dir, "out.ll")
+	_, errOut, code := runSiro(t, genText(t)+"\nthis is not IR\n", "-in", "-", "-src", "12.0", "-tgt", "3.6", "-out", outFile)
+	if code != 3 {
+		t.Fatalf("exit %d, want 3 (parse)\n%s", code, errOut)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed translation left %s behind", e.Name())
 	}
 }
 

@@ -22,9 +22,10 @@
 // placed onto registered workers by rendezvous hashing of the pair's
 // content address, and a pair any worker already holds is answered by
 // artifact fetch instead of re-synthesis. A daemon started with -join
-// is a worker: it serves its own API as usual and additionally pulls
-// synthesis jobs from the coordinator, sharing its artifact cache with
-// the fleet.
+// is a worker, and -join is the only way to run one: it serves its own
+// API as usual, additionally pulls synthesis jobs from the coordinator,
+// shares its artifact cache with the fleet from the same listener, and
+// on SIGTERM leaves the fleet before its local drain.
 //
 //	sirod -addr :8347 -cluster-listen :8348 -cache /var/cache/siro   # coordinator
 //	sirod -addr :8349 -join http://coord:8348 -cache /var/cache/w1   # worker
@@ -246,7 +247,6 @@ func main() {
 			ID:          *workerID,
 			Coordinator: strings.TrimRight(*join, "/"),
 			Cache:       svc.Cache(),
-			Ready:       svc.Ready,
 			JobTimeout:  *timeout,
 			Logf:        log.Printf,
 		})
@@ -254,9 +254,9 @@ func main() {
 			log.Fatalf("sirod: %v", err)
 		}
 		worker = w
-		// The worker's artifact endpoint rides the daemon's own listener;
-		// /healthz and /readyz are already served by the service handler
-		// with identical semantics.
+		// The worker's artifact endpoint rides the daemon's own listener.
+		// /healthz and /readyz stay the service handler's, so the
+		// coordinator's heartbeat sees the service drain or shed.
 		mux := http.NewServeMux()
 		mux.Handle("/cluster/v1/artifact", w.Handler())
 		mux.Handle("/", handler)

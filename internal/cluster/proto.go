@@ -2,9 +2,10 @@ package cluster
 
 // The HTTP JSON wire protocol between a coordinator and its workers.
 // All coordinator endpoints live under /cluster/v1/ on the daemon's
-// listener; each worker runs its own small listener (registered in
-// RegisterRequest.Addr) serving /healthz, /readyz, and the artifact
-// endpoint the coordinator fetches from.
+// listener; each worker advertises a listener of its own (registered
+// in RegisterRequest.Addr; for `sirod -join` it is the daemon's) serving
+// /healthz, /readyz, and the artifact endpoint the coordinator fetches
+// from.
 //
 // Coordinator endpoints:
 //
@@ -16,7 +17,8 @@ package cluster
 //
 // Worker endpoints (on RegisterRequest.Addr):
 //
-//	GET /readyz                           heartbeat probe (via service.Ready)
+//	GET /readyz                           heartbeat probe: 503 while draining (sirod's
+//	                                      is the service's, also 503 past the shed threshold)
 //	GET /cluster/v1/artifact?source=&target=&key=   the pair's artifact bytes
 //
 // Artifacts are byte-deterministic synth.Export blobs; every transfer

@@ -35,9 +35,6 @@ type WorkerConfig struct {
 	// Opts are the synthesis options; their fingerprint must match the
 	// coordinator's or every job is refused as a Mismatch.
 	Opts synth.Options
-	// Ready gates the worker's /readyz (e.g. an attached
-	// service.Service's Ready); nil means always ready.
-	Ready func() error
 	// JobTimeout bounds one synthesis (default 5m).
 	JobTimeout time.Duration
 	// Client performs coordinator-bound HTTP. Long-polls ride it, so its
@@ -115,13 +112,6 @@ func (w *Worker) Handler() http.Handler {
 			rw.Header().Set("Retry-After", "1")
 			writeJSON(rw, http.StatusServiceUnavailable, map[string]string{"error": "worker draining"})
 			return
-		}
-		if w.cfg.Ready != nil {
-			if err := w.cfg.Ready(); err != nil {
-				rw.Header().Set("Retry-After", "1")
-				writeJSON(rw, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
-				return
-			}
 		}
 		rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(rw, "ready")

@@ -1,10 +1,12 @@
 package irtext
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/failure"
 	"repro/internal/ir"
 	"repro/internal/version"
 )
@@ -106,6 +108,23 @@ func TestTextIncompatibility(t *testing.T) {
 	}
 	if _, err := Parse(opaque, version.V15_0); err != nil {
 		t.Errorf("15.0 reader rejected its own opaque-pointer syntax: %v", err)
+	}
+}
+
+// Detect tries only the readers it is given, newest first, and a text
+// no reader accepts is a Parse failure.
+func TestDetectNewestFirst(t *testing.T) {
+	modernLoad := "define i32 @main() {\nentry:\n  %p = alloca i32\n  %v = load i32, i32* %p\n  ret i32 %v\n}\n"
+	opaque := "define i32 @main() {\nentry:\n  %p = alloca i32\n  %v = load i32, ptr %p\n  ret i32 %v\n}\n"
+	restricted := []version.V{version.V3_6, version.V12_0}
+	if _, v, err := Detect(modernLoad, restricted); err != nil || v != version.V12_0 {
+		t.Fatalf("detected %s (%v), want 12.0", v, err)
+	}
+	if _, _, err := Detect(opaque, restricted); !errors.Is(err, failure.Parse) {
+		t.Fatalf("opaque text outside the version set: err = %v, want a Parse failure", err)
+	}
+	if _, v, err := Detect(modernLoad, version.All); err != nil || v != version.V14_0 {
+		t.Fatalf("detected %s (%v) over every version, want the newest typed-pointer reader 14.0", v, err)
 	}
 }
 

@@ -39,6 +39,26 @@ func Parse(src string, v version.V) (m *ir.Module, err error) {
 	return m, nil
 }
 
+// Detect parses text with each reader in versions, newest first, and
+// returns the module plus the version whose reader accepted it.
+// versions must be ascending, as version.All is. When no reader
+// accepts the text the error is classified failure.Parse and carries
+// the newest reader's complaint.
+func Detect(text string, versions []version.V) (*ir.Module, version.V, error) {
+	var firstErr error
+	for i := len(versions) - 1; i >= 0; i-- {
+		m, err := Parse(text, versions[i])
+		if err == nil {
+			return m, versions[i], nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, version.V{}, failure.Wrapf(failure.Parse,
+		"irtext: no reader accepts the input (newest reader said: %w)", firstErr)
+}
+
 type parser struct {
 	toks []token
 	pos  int

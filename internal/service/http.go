@@ -125,8 +125,8 @@ type HandlerOpts struct {
 	// registry.
 	DisableMetricsEndpoint bool
 	// Jobs mounts the async/batch API (POST /v1/batch, GET /v1/jobs,
-	// GET /v1/jobs/{id}) when non-nil, and journals a marker for each
-	// synchronous translate.
+	// GET /v1/jobs/{id}) when non-nil. Synchronous translates never
+	// touch its journal.
 	Jobs *Jobs
 	// PollTimeout caps GET /v1/jobs/{id}?wait= long-polls; 0 means 30s.
 	PollTimeout time.Duration
@@ -268,11 +268,6 @@ func NewHandler(s *Service, opts HandlerOpts) http.Handler {
 		}
 		start := time.Now()
 		res, err := s.TranslateTextResult(ctx, req.IR, src, tgt)
-		if opts.Jobs != nil {
-			// Hot-path durability marker: an async enqueue, never an
-			// fsync wait (bench-journal gates this at ≤5% overhead).
-			opts.Jobs.RecordSync(err)
-		}
 		if err != nil {
 			writeError(w, httpStatus(err), err)
 			logSlow("error", err)

@@ -116,9 +116,7 @@ type JobView struct {
 // jobWire is the journal record. Op "job" carries the full job (at
 // submit, at each terminal transition, and in checkpoint snapshots —
 // replay overwrites by id, so re-reading one is idempotent); op
-// "state" is a lightweight intermediate transition; op "sync" marks a
-// synchronous /v1/translate request (hot-path durability signal, loss
-// on crash is acceptable).
+// "state" is a lightweight intermediate transition.
 type jobWire struct {
 	Op           string   `json:"op"`
 	ID           string   `json:"id,omitempty"`
@@ -564,19 +562,6 @@ func (js *Jobs) List(limit int) (counts map[string]int, views []JobView) {
 		views = append(views, v)
 	}
 	return counts, views
-}
-
-// RecordSync journals a marker for a synchronous /v1/translate request
-// (async append — the fsync rides the next batch, so the hot path pays
-// only an enqueue).
-func (js *Jobs) RecordSync(err error) {
-	w := jobWire{Op: "sync", State: "ok"}
-	if err != nil {
-		w.State = "error"
-		w.Class = classLabel(err)
-	}
-	raw, _ := json.Marshal(w)
-	js.jl.AppendAsync(raw)
 }
 
 // Journal exposes the underlying journal (tests, stats).

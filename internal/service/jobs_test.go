@@ -318,3 +318,42 @@ func TestJobsLongPollBounded(t *testing.T) {
 		t.Fatalf("long-poll returned after %v, want ~100ms", elapsed)
 	}
 }
+
+// Synchronous translates, JSON or text (buffered and truly streamed),
+// leave no trace in the job journal: only async jobs are durable.
+func TestSyncTranslateWritesNoJournal(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	js := newJobsT(t, svc, t.TempDir())
+	defer js.Close()
+	srv := httptest.NewServer(NewHandler(svc, HandlerOpts{Jobs: js}))
+	defer srv.Close()
+	before := js.Journal().ActiveSize()
+
+	text := sourceText(t, version.V12_0)
+	post := func(url, contentType string, body []byte) {
+		t.Helper()
+		resp, err := http.Post(url, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", url, resp.StatusCode)
+		}
+	}
+	jsonBody, _ := json.Marshal(TranslateRequest{Source: "12.0", Target: "3.6", IR: text})
+	for i := 0; i < 5; i++ {
+		post(srv.URL+"/v1/translate", "application/json", jsonBody)
+		// Small text bodies take the buffered branch, ?partial=1 always
+		// truly streams.
+		post(srv.URL+"/v1/translate?source=12.0&target=3.6", "text/plain", []byte(text))
+		post(srv.URL+"/v1/translate?source=12.0&target=3.6&partial=1", "text/plain", []byte(text))
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := js.Journal().ActiveSize(); after != before {
+		t.Fatalf("journal grew %d -> %d bytes", before, after)
+	}
+}

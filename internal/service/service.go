@@ -715,7 +715,7 @@ func (s *Service) TranslateTextResult(ctx context.Context, text string, src vers
 	var err error
 	if !src.IsValid() {
 		end := s.met.stageTimer(ctx, stageDetect)
-		m, src, err = s.Detect(text)
+		m, src, err = irtext.Detect(text, s.Versions())
 		end()
 		if err != nil {
 			return TextResult{}, err
@@ -753,21 +753,9 @@ func (s *Service) translateParsed(ctx context.Context, src, tgt version.V, m *ir
 }
 
 // Detect parses text with every supported reader, newest first, and
-// returns the module plus the accepting version.
+// returns the module plus the accepting version (see irtext.Detect).
 func (s *Service) Detect(text string) (*ir.Module, version.V, error) {
-	ordered := s.Versions()
-	var firstErr error
-	for i := len(ordered) - 1; i >= 0; i-- {
-		m, err := irtext.Parse(text, ordered[i])
-		if err == nil {
-			return m, ordered[i], nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, version.V{}, failure.Wrapf(failure.Parse,
-		"service: no supported reader accepts the input (newest reader said: %w)", firstErr)
+	return irtext.Detect(text, s.Versions())
 }
 
 // Warm synthesizes (or loads) the direct translator for a pair ahead

@@ -12,10 +12,10 @@ import (
 )
 
 // The bounded-memory streaming path: /v1/translate bodies above the
-// stream threshold (and `siro -stream`) bypass the whole-module
-// pipeline and run translator.TranslateStream instead — parse one
-// function, translate it, flush it, drop it. Peak heap is O(largest
-// function) regardless of module size.
+// stream threshold (and `siro -in` with a stated source) bypass the
+// whole-module pipeline and run translator.TranslateStream instead —
+// parse one function, translate it, flush it, drop it. Peak heap is
+// O(largest function) regardless of module size.
 //
 // What a stream gives up for that bound:
 //

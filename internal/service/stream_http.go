@@ -103,9 +103,6 @@ func handleStream(s *Service, opts HandlerOpts, streamAt, maxBody int64, w http.
 			return
 		}
 		res, err := s.TranslateTextResult(ctx, string(text), src, tgt)
-		if opts.Jobs != nil {
-			opts.Jobs.RecordSync(err)
-		}
 		if err != nil {
 			fail(err)
 			return
@@ -128,9 +125,6 @@ func handleStream(s *Service, opts HandlerOpts, streamAt, maxBody int64, w http.
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	dw := &deferredStream{w: w, limit: streamHoldback}
 	_, err = s.TranslateStream(ctx, r.Body, dw, src, tgt, lenient)
-	if opts.Jobs != nil {
-		opts.Jobs.RecordSync(err)
-	}
 	if err != nil && !dw.started {
 		fail(err)
 		return

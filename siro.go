@@ -9,13 +9,23 @@
 //	tr, report, err := siro.Synthesize(siro.V12_0, siro.V3_6, nil)
 //	low, err := tr.TranslateText(highVersionIR)
 //
+// A tool that must accept IR of any version opens it through a Hub
+// instead, which detects the version and normalizes the module to the
+// tool's pivot version, synthesizing each pair's translator once:
+//
+//	hub := siro.NewHub(siro.V3_6)
+//	m, detected, err := hub.Open(anyVersionIR)
+//
 // The facade re-exports the pieces a downstream user needs: the versioned
 // parser and writer, the module model, the reference interpreter, the
 // mini-C frontend used by the evaluation harnesses, and the value-flow
-// analyzer clients.
+// analyzer clients. Hub and Service share one translator cache design
+// (internal/service), and cmd/siro and cmd/sirod are built on Service.
 package siro
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 
 	"repro/internal/analysis"
@@ -25,7 +35,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/irtext"
-	"repro/internal/portable"
 	"repro/internal/service"
 	"repro/internal/skeleton"
 	"repro/internal/synth"
@@ -196,12 +205,65 @@ func CompareReports(translating, compiling []BugReport) analysis.CompareResult {
 }
 
 // Hub is the version-agnostic front door of §7's developer suggestions:
-// it accepts textual IR of any supported version and normalizes it to a
-// pivot version through lazily synthesized, cached translators.
-type Hub = portable.Hub
+// it accepts textual IR of any supported version, detects the version,
+// and normalizes the module to a pivot version through translators
+// synthesized on first use. The translators live in a memory-only
+// service cache, so concurrent Opens share one synthesis per pair and
+// different pairs synthesize in parallel.
+type Hub struct {
+	// Pivot is the version every Open result is normalized to.
+	Pivot Version
 
-// NewHub returns a hub pivoted at v.
-func NewHub(v Version) *Hub { return portable.NewHub(v) }
+	cache *service.Cache
+}
+
+// NewHub returns a hub pivoted at v. A Hub must be made with NewHub.
+func NewHub(v Version) *Hub {
+	return &Hub{Pivot: v, cache: service.NewCache("", 0, synth.Options{})}
+}
+
+// DetectVersion parses text with each known reader, newest first, and
+// returns the module plus the version whose reader accepted it. Text no
+// reader accepts is ErrParse.
+func (h *Hub) DetectVersion(text string) (*Module, Version, error) {
+	return irtext.Detect(text, version.All)
+}
+
+// Translator returns the translator from src to the pivot, synthesizing
+// it on first use.
+func (h *Hub) Translator(src Version) (*Translator, error) {
+	pair := version.Pair{Source: src, Target: h.Pivot}
+	tr, _, err := h.cache.Get(context.TODO(), pair, func() (*synth.Result, error) {
+		return service.DefaultSynthFn(pair, synth.Options{})
+	})
+	if err != nil {
+		return nil, failure.Wrapf(failure.Synthesis, "siro: synthesizing %s: %w", pair, err)
+	}
+	return tr, nil
+}
+
+// Open accepts textual IR of any supported version and returns the
+// module normalized to the pivot, along with the detected source
+// version.
+func (h *Hub) Open(text string) (*Module, Version, error) {
+	m, v, err := h.DetectVersion(text)
+	if err != nil || v == h.Pivot {
+		return m, v, err
+	}
+	tr, err := h.Translator(v)
+	if err != nil {
+		return nil, v, err
+	}
+	out, err := tr.Translate(m)
+	if err != nil {
+		return nil, v, fmt.Errorf("siro: normalizing %s input: %w", v, err)
+	}
+	return out, v, nil
+}
+
+// CachedPairs reports which translators the hub has synthesized so far,
+// sorted.
+func (h *Hub) CachedPairs() []version.Pair { return h.cache.Pairs() }
 
 // Service is the long-running translation service: a content-addressed
 // translator cache (one synthesis per (source, target, API-registry

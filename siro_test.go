@@ -1,7 +1,10 @@
 package siro
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/interp"
@@ -207,5 +210,116 @@ func TestFacadeHubAndValidation(t *testing.T) {
 	}
 	if rep := ValidateTranslation(src, out, 8, 1); !rep.OK() {
 		t.Fatalf("validation failed: %s", rep)
+	}
+}
+
+// The three text grammars a Hub must tell apart: typed pointers with
+// the legacy load (≤3.6), typed pointers with the explicit load type
+// (3.7–14), and opaque pointers (15+). Each main returns its value.
+var hubFamilies = []struct {
+	name string
+	text string
+	in   func(version.Features) bool
+	ret  int64
+}{
+	{"legacy", "define i32 @main() {\nentry:\n  %p = alloca i32\n  store i32 5, i32* %p\n  %v = load i32* %p\n  ret i32 %v\n}\n",
+		func(f version.Features) bool { return !f.ExplicitLoadType }, 5},
+	{"modern", "define i32 @main() {\nentry:\n  %p = alloca i32\n  store i32 6, i32* %p\n  %v = load i32, i32* %p\n  ret i32 %v\n}\n",
+		func(f version.Features) bool { return f.ExplicitLoadType && !f.OpaquePointers }, 6},
+	{"opaque", "define i32 @main() {\nentry:\n  %p = alloca i32\n  store i32 7, ptr %p\n  %v = load i32, ptr %p\n  ret i32 %v\n}\n",
+		func(f version.Features) bool { return f.OpaquePointers }, 7},
+}
+
+func TestHubDetectVersionFamilies(t *testing.T) {
+	h := NewHub(V3_6)
+	for _, fam := range hubFamilies {
+		_, v, err := h.DetectVersion(fam.text)
+		if err != nil {
+			t.Fatalf("%s: %v", fam.name, err)
+		}
+		if !fam.in(version.FeaturesOf(v)) {
+			t.Errorf("%s text detected as %s, outside its grammar family", fam.name, v)
+		}
+	}
+	if _, _, err := h.DetectVersion("this is not IR"); !errors.Is(err, ErrParse) {
+		t.Fatalf("garbage: err = %v, want ErrParse", err)
+	}
+	if _, _, err := h.Open("this is not IR"); !errors.Is(err, ErrParse) {
+		t.Fatalf("Open(garbage): err = %v, want ErrParse", err)
+	}
+}
+
+// checkHubOpen opens one family's text and checks it came back at the
+// pivot with the family's main() value.
+func checkHubOpen(h *Hub, text string, want int64) error {
+	m, src, err := h.Open(text)
+	if err != nil {
+		return err
+	}
+	if m.Ver != h.Pivot {
+		return fmt.Errorf("normalized to %s, want %s (detected %s)", m.Ver, h.Pivot, src)
+	}
+	res, err := Execute(m, nil)
+	if err != nil || res.Ret != want {
+		return fmt.Errorf("main() = %d (%v), want %d", res.Ret, err, want)
+	}
+	return nil
+}
+
+func TestHubOpenNormalizesAcrossFamilies(t *testing.T) {
+	h := NewHub(V3_6)
+	for _, fam := range hubFamilies {
+		if err := checkHubOpen(h, fam.text, fam.ret); err != nil {
+			t.Fatalf("%s: %v", fam.name, err)
+		}
+	}
+	// Pivot-version input skips translation entirely.
+	if pairs := h.CachedPairs(); len(pairs) != 2 {
+		t.Fatalf("cached pairs = %v, want 2 (modern + opaque families)", pairs)
+	}
+}
+
+func TestHubTranslatorCacheReused(t *testing.T) {
+	h := NewHub(V3_6)
+	modern := hubFamilies[1].text
+	if _, _, err := h.Open(modern); err != nil {
+		t.Fatal(err)
+	}
+	before := h.cache.Stats().Synthesized
+	if err := checkHubOpen(h, strings.Replace(modern, "i32 6", "i32 9", 1), 9); err != nil {
+		t.Fatal(err)
+	}
+	if after := h.cache.Stats().Synthesized; after != before {
+		t.Fatalf("second open re-synthesized the translator (%d -> %d syntheses)", before, after)
+	}
+}
+
+// Concurrent Opens share one synthesis per pair: three goroutines per
+// family, every result correct, and exactly two translators cached.
+func TestHubConcurrentOpen(t *testing.T) {
+	h := NewHub(V3_6)
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*len(hubFamilies))
+	for _, fam := range hubFamilies {
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := checkHubOpen(h, fam.text, fam.ret); err != nil {
+					errs <- fmt.Errorf("%s: %w", fam.name, err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if pairs := h.CachedPairs(); len(pairs) != 2 {
+		t.Fatalf("cached pairs = %v, want 2", pairs)
+	}
+	if st := h.cache.Stats(); st.Synthesized != 2 {
+		t.Fatalf("synthesized %d translators, want one per pair (2)", st.Synthesized)
 	}
 }
