@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz soak soak-smoke cluster-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-gateway bench-synth bench-stream bench-e2e clean
+.PHONY: check fmt vet build test race fuzz soak soak-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-gateway bench-synth bench-stream bench-e2e clean
 
 check: fmt vet build test race
 
@@ -26,7 +26,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/synth ./internal/interp ./internal/service ./internal/obs ./internal/resilience ./internal/cluster ./internal/journal ./internal/tenant ./internal/irtext ./internal/scenario ./internal/scenario/loadcli
+	$(GO) test -race ./internal/synth ./internal/interp ./internal/service ./internal/obs ./internal/resilience ./internal/journal ./internal/tenant ./internal/irtext ./internal/scenario ./internal/scenario/loadcli
 
 # Short fuzz smoke of the fuzz targets; crashers land in
 # internal/<pkg>/testdata/fuzz and are replayed by plain `go test`.
@@ -54,19 +54,6 @@ soak-smoke:
 	SIRO_SOAK_LIE=0.05 SIRO_SOAK_TRAP=0.05 SIRO_SOAK_PANIC=0.03 SIRO_SOAK_HANG=0.03 \
 	SIRO_SOAK_JSON=$(SOAK_JSON) \
 		$(GO) test -race ./internal/service -run TestChaosSoak -count=1 -v -timeout 10m
-
-# Cluster smoke: a 3-worker coordinator-fronted fleet soaked with
-# concurrent traffic while one worker is crashed mid-run and a
-# replacement joins, then drained. Race-enabled. Exits non-zero on any
-# failed request, any wrong translation served, a duplicated synthesis
-# beyond the churn bound, or an orphaned cluster job after drain.
-# CLUSTER_JSON names the machine-readable summary, archived by CI next
-# to SOAK_summary.json.
-CLUSTER_JSON ?= $(CURDIR)/CLUSTER_summary.json
-cluster-smoke:
-	SIRO_CLUSTER_SOAK_SECONDS=3 SIRO_CLUSTER_SOAK_CLIENTS=4 \
-	SIRO_CLUSTER_JSON=$(CLUSTER_JSON) \
-		$(GO) test -race ./internal/cluster -run TestClusterSmoke -count=1 -v -timeout 10m
 
 # Crash-injection soak: a real sirod binary is repeatedly kill -9'd
 # mid-batch at randomized points (one cycle uses the forced

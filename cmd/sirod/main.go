@@ -17,18 +17,12 @@
 // across restarts, and pairs with no direct translator are served
 // through a differentially validated multi-hop route.
 //
-// Clustering spreads that "at most once" across machines. A daemon
-// started with -cluster-listen is the coordinator: cache misses are
-// placed onto registered workers by rendezvous hashing of the pair's
-// content address, and a pair any worker already holds is answered by
-// artifact fetch instead of re-synthesis. A daemon started with -join
-// is a worker, and -join is the only way to run one: it serves its own
-// API as usual, additionally pulls synthesis jobs from the coordinator,
-// shares its artifact cache with the fleet from the same listener, and
-// on SIGTERM leaves the fleet before its local drain.
+// Several daemons may share one -cache directory: artifacts are whole
+// files named by their content address, so a pair one daemon
+// synthesized is a disk hit for every other.
 //
-//	sirod -addr :8347 -cluster-listen :8348 -cache /var/cache/siro   # coordinator
-//	sirod -addr :8349 -join http://coord:8348 -cache /var/cache/w1   # worker
+//	sirod -addr :8347 -cache /shared/siro -auto-warm
+//	sirod -addr :8349 -cache /shared/siro
 package main
 
 import (
@@ -46,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/synth"
@@ -63,7 +56,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job deadline (0 disables)")
 	maxHops := flag.Int("max-hops", 3, "maximum translator hops for multi-hop routing (1 disables routing)")
 	warm := flag.String("warm", "", "comma-separated src>tgt pairs to synthesize before serving, e.g. 12.0>3.6,17.0>3.6")
-	autoWarm := flag.Bool("auto-warm", false, "warm the full version-pair matrix in the background after startup, nearest pairs first (placed through the cluster when clustering is on)")
+	autoWarm := flag.Bool("auto-warm", false, "warm the full version-pair matrix in the background after startup, nearest pairs first")
 	maxBody := flag.Int64("max-body", service.DefaultMaxBodyBytes, "maximum /v1/translate request body in bytes (negative disables the bound); streaming requests are exempt — see -stream-mem-budget")
 	streamThreshold := flag.Int64("stream-threshold", service.DefaultStreamThreshold, "text/* /v1/translate bodies at or above this size stream function-at-a-time in bounded memory (negative: stream every text request)")
 	streamMemBudget := flag.Int64("stream-mem-budget", 0, "process-wide cap on bytes held by in-flight streaming translations; past it streams park briefly, then 429 with Retry-After (0: unlimited)")
@@ -85,17 +78,8 @@ func main() {
 	pollTimeout := flag.Duration("poll-timeout", 30*time.Second, "upper bound on GET /v1/jobs/{id}?wait= long-polls")
 	tenantsFile := flag.String("tenants", "", "multi-tenant gateway config (JSON): API keys, weights, quotas; turns on weighted (deficit-round-robin) fair queueing and cross-tenant coalescing; SIGHUP hot-reloads it (empty: no gateway, anonymous access, one FIFO queue)")
 	defaultQuota := flag.Float64("default-quota", 0, "default per-tenant rate limit in req/s for tenants that omit rate_per_sec (0: unlimited)")
-	clusterListen := flag.String("cluster-listen", "", "run as cluster coordinator: listen address for the /cluster/v1 worker protocol")
-	join := flag.String("join", "", "run as cluster worker: the coordinator's base URL, e.g. http://coord:8348")
-	advertise := flag.String("advertise", "", "worker mode: address the coordinator can reach this daemon's listener at (default: -addr with 127.0.0.1 for an empty host)")
-	workerID := flag.String("cluster-id", "", "worker mode: stable identity anchoring rendezvous placement (default: the advertised address)")
-	replicas := flag.Int("cluster-replicas", 2, "coordinator mode: replicas probed for an existing artifact before a job is placed")
 	synthWorkers := flag.Int("synth-workers", 0, "parallelism inside each synthesis run: candidate generation and validation workers (0: serial; output is byte-identical at any setting)")
 	flag.Parse()
-
-	if *clusterListen != "" && *join != "" {
-		log.Fatalf("sirod: -cluster-listen and -join are mutually exclusive (a node is a coordinator or a worker, not both)")
-	}
 
 	var reg *obs.Registry
 	if !*noMetrics {
@@ -115,28 +99,6 @@ func main() {
 		log.Printf("sirod: gateway enabled with %d tenant(s) from %s", registry.Len(), *tenantsFile)
 	}
 
-	// The coordinator must exist before the service: it is the
-	// service's RemoteSynthesizer, consulted on every cache miss.
-	var coord *cluster.Coordinator
-	if *clusterListen != "" {
-		coordJournal := ""
-		if *journalDir != "" {
-			coordJournal = filepath.Join(*journalDir, "cluster")
-		}
-		var err error
-		coord, err = cluster.NewCoordinator(cluster.CoordinatorConfig{
-			Replicas:            *replicas,
-			Metrics:             reg,
-			Logf:                log.Printf,
-			JournalDir:          coordJournal,
-			JournalSegmentBytes: *journalSegBytes,
-		})
-		if err != nil {
-			log.Fatalf("sirod: cluster journal: %v", err)
-		}
-		defer coord.Close()
-	}
-
 	svc := service.New(service.Config{
 		CacheDir:             *cacheDir,
 		CacheMaxBytes:        *cacheMax,
@@ -153,7 +115,6 @@ func main() {
 		ServeTrials:          *serveTrials,
 		DegradeUnderPressure: *degrade,
 		Synth:                synth.Options{Workers: *synthWorkers},
-		Remote:               remoteOrNil(coord),
 		StreamMemBudget:      *streamMemBudget,
 		StreamMaxWait:        *streamMaxWait,
 		// Nil for anonymous deployments, which keep the FIFO queue and
@@ -241,28 +202,6 @@ func main() {
 			}
 		}()
 	}
-	var worker *cluster.Worker
-	if *join != "" {
-		w, err := cluster.NewWorker(cluster.WorkerConfig{
-			ID:          *workerID,
-			Coordinator: strings.TrimRight(*join, "/"),
-			Cache:       svc.Cache(),
-			JobTimeout:  *timeout,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("sirod: %v", err)
-		}
-		worker = w
-		// The worker's artifact endpoint rides the daemon's own listener.
-		// /healthz and /readyz stay the service handler's, so the
-		// coordinator's heartbeat sees the service drain or shed.
-		mux := http.NewServeMux()
-		mux.Handle("/cluster/v1/artifact", w.Handler())
-		mux.Handle("/", handler)
-		handler = mux
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("sirod: listen %s: %v", *addr, err)
@@ -288,28 +227,10 @@ func main() {
 		os.Exit(2)
 	}()
 
-	errc := make(chan error, 2)
+	errc := make(chan error, 1)
 	go func() { errc <- server.Serve(ln) }()
 	log.Printf("sirod: serving on %s (cache %q, %d workers, max %d hops)",
 		ln.Addr(), *cacheDir, *workers, *maxHops)
-
-	var clusterServer *http.Server
-	if coord != nil {
-		clusterServer = &http.Server{Addr: *clusterListen, Handler: coord.Handler()}
-		go func() { errc <- clusterServer.ListenAndServe() }()
-		log.Printf("sirod: coordinating cluster on %s (R=%d)", *clusterListen, *replicas)
-	}
-	workerDone := make(chan struct{})
-	if worker != nil {
-		adAddr := advertiseAddr(*advertise, ln.Addr())
-		go func() {
-			defer close(workerDone)
-			_ = worker.Run(ctx, adAddr)
-		}()
-		log.Printf("sirod: joined cluster %s as %s (advertising %s)", *join, firstNonEmpty(*workerID, adAddr), adAddr)
-	} else {
-		close(workerDone)
-	}
 
 	if *autoWarm {
 		go func() {
@@ -336,12 +257,8 @@ func main() {
 		// Graceful drain: stop admitting (in-flight requests keep their
 		// workers; new ones get 503 + Retry-After while the listener is
 		// still up), flush the queue within the drain deadline, then
-		// close the HTTP servers. The cluster drains after the service —
-		// in-flight translate jobs may be waiting on cluster placements,
-		// and workers keep polling and completing until the job table is
-		// empty, so a drain strands nothing.
+		// close the HTTP server.
 		log.Printf("sirod: draining (deadline %v)", *drainTimeout)
-		<-workerDone // worker mode: leave the fleet before local drain
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		// Async jobs drain first: they still need service admission to
 		// run, and svc.Drain closes it. Whatever misses the deadline is
@@ -354,21 +271,11 @@ func main() {
 		if err := svc.Drain(drainCtx); err != nil {
 			log.Printf("sirod: drain: %v", err)
 		}
-		if coord != nil {
-			if err := coord.Drain(drainCtx); err != nil {
-				log.Printf("sirod: cluster drain: %v", err)
-			}
-		}
 		cancel()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := server.Shutdown(shutdownCtx); err != nil {
 			log.Printf("sirod: shutdown: %v", err)
-		}
-		if clusterServer != nil {
-			if err := clusterServer.Shutdown(shutdownCtx); err != nil {
-				log.Printf("sirod: cluster shutdown: %v", err)
-			}
 		}
 		log.Printf("sirod: drained in %.3fs", svc.Stats().DrainSeconds)
 	}
@@ -376,37 +283,4 @@ func main() {
 	fmt.Printf("sirod: served %d requests (%d completed, %d failed, %d multi-hop); cache: %d memory hits, %d disk hits, %d synthesized, %d deduplicated\n",
 		st.Requests, st.Completed, st.Failed, st.MultiHop,
 		st.Cache.MemoryHits, st.Cache.DiskHits, st.Cache.Synthesized, st.Cache.Deduplicated)
-}
-
-// remoteOrNil avoids storing a typed-nil *Coordinator in the interface.
-func remoteOrNil(c *cluster.Coordinator) service.RemoteSynthesizer {
-	if c == nil {
-		return nil
-	}
-	return c
-}
-
-// advertiseAddr derives the address the coordinator should reach this
-// worker's listener at: the -advertise flag verbatim, or the actual
-// listen address with unspecified hosts ("", "::", "0.0.0.0") rewritten
-// to loopback — the single-machine default the quick start uses.
-func advertiseAddr(flagVal string, actual net.Addr) string {
-	if flagVal != "" {
-		return flagVal
-	}
-	host, port, err := net.SplitHostPort(actual.String())
-	if err != nil {
-		return actual.String()
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, port)
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

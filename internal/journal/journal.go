@@ -1,9 +1,8 @@
 // Package journal is a durable, crash-recoverable write-ahead log for
-// job state. The daemon's queues, singleflight tables, and cluster job
-// tables are in-memory for speed; the journal is what makes the work
-// they carry survive a kill -9. Owners append opaque records (the
-// service journals job lifecycle transitions, the cluster coordinator
-// journals its fleet job table) and replay them on the next boot to
+// job state. The daemon's queues and singleflight tables are in-memory
+// for speed; the journal is what makes the work they carry survive a
+// kill -9. Owners append opaque records (the service journals async job
+// lifecycle transitions) and replay them on the next boot to
 // reconstruct state.
 //
 // Design:

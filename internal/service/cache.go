@@ -135,7 +135,7 @@ func NewCache(dir string, maxEntries int, opts synth.Options) *Cache {
 
 // SetMaxBytes bounds the on-disk artifact directory: after every
 // persist, least-recently-hit artifacts (by mtime, bumped on each disk
-// hit and artifact read) are removed until the total is within budget.
+// hit) are removed until the total is within budget.
 // 0 (the default) leaves the directory unbounded. Call before the cache
 // sees traffic.
 func (c *Cache) SetMaxBytes(n int64) { c.maxBytes = n }
@@ -430,35 +430,6 @@ func (c *Cache) gc(justWrote string) {
 			c.met.gcEvictions.Inc()
 		}
 	}
-}
-
-// ReadArtifact returns the pair's persisted artifact bytes and its
-// content-address key. Only the fsynced-and-renamed file at the content
-// address is ever read — a mid-write temp file has a different name and
-// cannot be served — so concurrent persists yield either the old or the
-// new complete artifact, never a torn one. A successful read bumps the
-// artifact's GC recency (serving a peer is a hit).
-func (c *Cache) ReadArtifact(pair version.Pair) ([]byte, string, error) {
-	key := c.Key(pair)
-	if c.dir == "" {
-		// Memory-only cache: export the resident translator, which is
-		// byte-identical to what a disk artifact would hold.
-		c.mu.Lock()
-		el, ok := c.items[key]
-		c.mu.Unlock()
-		if !ok {
-			return nil, key, fmt.Errorf("service: no artifact for %s: %w", pair, os.ErrNotExist)
-		}
-		blob, err := el.Value.(*cacheEntry).res.ExportWithOptions(c.opts)
-		return blob, key, err
-	}
-	path := c.path(pair, key)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, key, err
-	}
-	c.touch(path)
-	return blob, key, nil
 }
 
 // insert adds an entry to the LRU, evicting the least recently used

@@ -359,13 +359,14 @@ func TestCacheGCEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// Torn-read stress for the artifact exchange path: while one goroutine
-// re-persists the same artifact in a tight loop, concurrent readers
-// must only ever observe either "no artifact yet" or a complete blob
-// whose embedded fingerprint verifies — never a torn or mid-write file.
-// This is the property cluster peers rely on when fetching artifacts
-// straight off each other's cache directories.
-func TestCacheReadArtifactNeverTorn(t *testing.T) {
+// Torn-read stress for a cache directory shared by several daemons:
+// while one cache re-persists the same artifact in a tight loop, fresh
+// caches over the same directory (each standing in for another daemon
+// that has not seen the pair yet) must always import a complete
+// artifact. A torn read would count as a stale drop and make the
+// reader delete the writer's artifact, so every read must be a disk hit
+// and StaleDropped must stay 0.
+func TestCacheSharedDirReadNeverTorn(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(dir, 8, synth.Options{})
 	res, err := synthesizeFor(t, pair12to36)()
@@ -373,9 +374,12 @@ func TestCacheReadArtifactNeverTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := c.Key(pair12to36)
+	if err := c.persist(pair12to36, key, res); err != nil {
+		t.Fatal(err)
+	}
 
 	stop := make(chan struct{})
-	var writes atomic.Int64
+	var writes, reads atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -394,7 +398,10 @@ func TestCacheReadArtifactNeverTorn(t *testing.T) {
 		}
 	}()
 
-	var reads, misses atomic.Int64
+	fail := func() (*synth.Result, error) {
+		t.Error("a reader of a shared directory synthesized: the artifact was not served")
+		return nil, errors.New("unexpected synthesis")
+	}
 	const readers = 4
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
@@ -406,21 +413,18 @@ func TestCacheReadArtifactNeverTorn(t *testing.T) {
 					return
 				default:
 				}
-				blob, gotKey, err := c.ReadArtifact(pair12to36)
+				rc := NewCache(dir, 8, synth.Options{})
+				_, org, err := rc.Get(context.Background(), pair12to36, fail)
 				if err != nil {
-					if errors.Is(err, os.ErrNotExist) {
-						misses.Add(1) // racing the very first persist
-						continue
-					}
-					t.Errorf("ReadArtifact: %v", err)
+					t.Errorf("shared-dir read: %v", err)
 					return
 				}
-				if gotKey != key {
-					t.Errorf("ReadArtifact key = %s, want %s", gotKey, key)
+				if org != OriginDisk {
+					t.Errorf("shared-dir read origin = %v, want disk", org)
 					return
 				}
-				if _, err := synth.Import(blob, synth.Options{}); err != nil {
-					t.Errorf("torn artifact crossed ReadArtifact (%d bytes): %v", len(blob), err)
+				if n := rc.Stats().StaleDropped; n != 0 {
+					t.Errorf("torn artifact: reader dropped %d artifact(s) as stale", n)
 					return
 				}
 				reads.Add(1)
@@ -432,7 +436,10 @@ func TestCacheReadArtifactNeverTorn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if writes.Load() == 0 || reads.Load() == 0 {
-		t.Fatalf("stress did no work: %d writes, %d verified reads", writes.Load(), reads.Load())
+		t.Fatalf("stress did no work: %d writes, %d disk reads", writes.Load(), reads.Load())
 	}
-	t.Logf("torn-read stress: %d persists, %d verified reads, %d early misses", writes.Load(), reads.Load(), misses.Load())
+	if n := c.Stats().StaleDropped; n != 0 {
+		t.Fatalf("writer StaleDropped = %d, want 0", n)
+	}
+	t.Logf("shared-dir torn-read stress: %d persists, %d disk reads", writes.Load(), reads.Load())
 }

@@ -374,9 +374,8 @@ func NewHandler(s *Service, opts HandlerOpts) http.Handler {
 	}))
 	// Readiness is not liveness: a draining or saturated service is
 	// alive (healthz 200) but must get no new traffic (readyz 503, with
-	// Retry-After). The cluster coordinator uses this as its heartbeat
-	// probe, so an overloaded worker sheds cluster placement the same
-	// way it sheds direct requests.
+	// Retry-After), so a load balancer in front of several daemons
+	// steers around one that is draining or shedding.
 	mux.HandleFunc("/readyz", method(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Ready(); err != nil {
 			writeError(w, httpStatus(err), err)

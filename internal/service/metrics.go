@@ -24,7 +24,6 @@ const (
 	stageDetect    = "detect"   // version auto-detection (parse at every version)
 	stageQueue     = "queue"    // enqueue → worker pickup
 	stageCache     = "cache"    // translator lookup (memory + disk), synthesis excluded
-	stageCluster   = "cluster"  // remote placement: peer artifact fetch or worker job
 	stageSynth     = "synth"    // full synthesis on a cache miss
 	stageRoute     = "route"    // multi-hop route search incl. per-edge synthesis
 	stageValidate  = "validate" // differential validation of a composed chain
@@ -35,7 +34,7 @@ const (
 )
 
 var stageNames = []string{
-	stageParse, stageDetect, stageQueue, stageCache, stageCluster, stageSynth,
+	stageParse, stageDetect, stageQueue, stageCache, stageSynth,
 	stageRoute, stageValidate, stageTranslate, stageHop, stageWrite, stageStream,
 }
 

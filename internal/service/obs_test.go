@@ -233,7 +233,7 @@ func TestEndpointMethodMatrix(t *testing.T) {
 
 // Readiness is not liveness: before a drain /readyz and /healthz both
 // answer 200; once a drain starts the service must flip /readyz to 503
-// (with a Retry-After hint for the cluster's heartbeat probe) while
+// (with a Retry-After hint for a load balancer's probe) while
 // /healthz keeps reporting the process alive.
 func TestReadyzDrainSequence(t *testing.T) {
 	svc := New(Config{Workers: 1})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,24 +35,6 @@ func DefaultSynthFn(pair version.Pair, opts synth.Options) (*synth.Result, error
 	return s.Run(corpus.Tests(pair.Source))
 }
 
-// RemoteSynthesizer is the cluster seam: on a cache miss the
-// singleflight leader consults it before burning local CPU, so a pair
-// synthesized anywhere in the fleet is served everywhere by artifact
-// exchange. key is the pair's content address (synth.Fingerprint), and
-// the returned result must already have passed the embedded-fingerprint
-// check. An error wrapping ErrRemoteUnavailable means the cluster could
-// not take the job (no workers, transport failure, drain) and the
-// service falls back to local synthesis; any other error is a verdict
-// about the pair itself and is surfaced as if synthesis ran locally.
-type RemoteSynthesizer interface {
-	Synthesize(ctx context.Context, pair version.Pair, key string) (*synth.Result, error)
-}
-
-// ErrRemoteUnavailable marks a RemoteSynthesizer failure as an
-// infrastructure problem rather than a synthesis verdict: the caller
-// should synthesize locally instead of failing the request.
-var ErrRemoteUnavailable = errors.New("remote synthesis unavailable")
-
 // Config tunes a Service.
 type Config struct {
 	// CacheDir is where synthesis artifacts persist; "" keeps the
@@ -63,12 +44,6 @@ type Config struct {
 	// budget, least-recently-hit artifacts are GC'd after each persist.
 	// 0 leaves the directory unbounded.
 	CacheMaxBytes int64
-	// Remote, when set, is consulted by the synthesis choke point on a
-	// cache miss before local synthesis runs — the cluster coordinator
-	// places the pair on a worker or fetches the artifact from a peer
-	// already holding it. Errors wrapping ErrRemoteUnavailable fall back
-	// to local synthesis.
-	Remote RemoteSynthesizer
 	// Workers is the translation worker-pool size (default 4).
 	Workers int
 	// QueueDepth bounds the pending-job queue; a full queue makes
@@ -237,8 +212,6 @@ type Service struct {
 	// results between pairs).
 	genCache *synth.GenCache
 	hints    *synth.HintsRegistry
-	cost     *synth.CostModel
-	costPath string // "" = memory-only cost model
 
 	mu         sync.Mutex
 	closed     bool
@@ -302,18 +275,9 @@ func New(cfg Config) *Service {
 		s.cache.met = s.met.cache
 	}
 	s.cache.SetMaxBytes(cfg.CacheMaxBytes)
-	// The cost model persists beside the translator cache and reorders
-	// each synthesis run's enumeration so observed winners validate
-	// first, which never changes what is synthesized.
 	if canonical := cfg.Synth.Getters == nil && cfg.Synth.Builders == nil; canonical {
 		s.genCache = synth.NewGenCache()
 		s.hints = synth.NewHintsRegistry()
-		if cfg.CacheDir != "" {
-			s.costPath = filepath.Join(cfg.CacheDir, "siro-costmodel.json")
-			s.cost = synth.LoadCostModel(s.costPath)
-		} else {
-			s.cost = synth.NewCostModel()
-		}
 	}
 	for _, v := range cfg.Versions {
 		s.supported[v] = true
@@ -395,16 +359,15 @@ func (s *Service) Drain(ctx context.Context) error {
 	}
 }
 
-// Cache exposes the service's translator cache — the coordinator and
-// worker wiring serve and ingest artifacts through it.
+// Cache exposes the service's translator cache.
 func (s *Service) Cache() *Cache { return s.cache }
 
 // Ready reports whether the service is currently able to accept work:
 // nil when it is, a typed rejection explaining why not — Draining once
 // a drain has started, Overload while the queue sits at or past the
-// shed threshold. This is the /readyz verdict and the cluster's
-// heartbeat probe, distinct from liveness: a draining or saturated
-// node is alive but should receive no new traffic.
+// shed threshold. This is the /readyz verdict a load balancer polls,
+// distinct from liveness: a draining or saturated daemon is alive but
+// should receive no new traffic.
 func (s *Service) Ready() error {
 	s.mu.Lock()
 	closed := s.closed
@@ -799,12 +762,12 @@ func (s *Service) MatrixPairs() []version.Pair {
 	return out
 }
 
-// WarmMatrix feeds the full MatrixPairs plan through Warm — and so
-// through cluster placement when a Remote is configured. It returns how
-// many pairs are warm. Per-pair failures are reported to onPair (nil ok)
-// and do not abort the sweep; ctx cancellation does, promptly, with a
-// Budget-classed error (each Warm abandons only its wait — in-flight
-// synthesis completes detached into the cache, see Warm).
+// WarmMatrix feeds the full MatrixPairs plan through Warm, one pair at
+// a time. It returns how many pairs are warm. Per-pair failures are
+// reported to onPair (nil ok) and do not abort the sweep; ctx
+// cancellation does, promptly, with a Budget-classed error (each Warm
+// abandons only its wait — in-flight synthesis completes detached into
+// the cache, see Warm).
 func (s *Service) WarmMatrix(ctx context.Context, onPair func(p version.Pair, err error)) (int, error) {
 	warmed := 0
 	for _, p := range s.MatrixPairs() {
@@ -1081,14 +1044,6 @@ func (s *Service) cachedTranslator(ctx context.Context, pair version.Pair) (*tra
 		if err := s.breakers.Allow(key); err != nil {
 			return nil, err // fail fast; the opening fault's class is preserved
 		}
-		if res, err, handled := s.remoteSynthesize(ctx, pair); handled {
-			if err != nil {
-				s.breakers.Fail(key, err)
-				return nil, err
-			}
-			s.breakers.Succeed(key)
-			return res, nil
-		}
 		res, err := resilience.Retry(ctx, s.retryPolicy(), func() (*synth.Result, error) {
 			return s.synthesizeOnce(ctx, pair)
 		})
@@ -1108,36 +1063,6 @@ func (s *Service) cachedTranslator(ctx context.Context, pair version.Pair) (*tra
 		}
 	}
 	return tr, org, err
-}
-
-// remoteSynthesize offers the miss to the cluster before local
-// synthesis runs. handled=false means the caller should synthesize
-// locally: either no Remote is configured, or the cluster declined the
-// job (ErrRemoteUnavailable — no live workers, transport trouble,
-// coordinator drain). A non-infrastructure error — the fleet ran the
-// synthesis and it genuinely failed, or the caller's deadline expired —
-// is a final verdict: handled=true surfaces it through the same breaker
-// bookkeeping a local failure would get. The remote leg reports as the
-// "cluster" stage in request traces, disjoint from "cache" and "synth".
-func (s *Service) remoteSynthesize(ctx context.Context, pair version.Pair) (*synth.Result, error, bool) {
-	if s.cfg.Remote == nil {
-		return nil, nil, false
-	}
-	end := s.met.stageTimer(ctx, stageCluster)
-	res, err := s.cfg.Remote.Synthesize(ctx, pair, s.cache.Key(pair))
-	end()
-	if err == nil {
-		return res, nil, true
-	}
-	if errors.Is(err, ErrRemoteUnavailable) {
-		return nil, nil, false // fall back to local synthesis
-	}
-	if ctx.Err() != nil {
-		// The caller's deadline expired while the cluster worked; the
-		// budget is at fault, not the pair (mirrors synthesizeOnce).
-		return nil, failure.FromContext(ctx.Err()), true
-	}
-	return nil, err, true
 }
 
 // retryPolicy is the synthesis retry policy: transient classes only
@@ -1176,11 +1101,10 @@ func (s *Service) synthesizeOnce(ctx context.Context, pair version.Pair) (res *s
 		}
 	}
 	// Thread the cross-pair accelerators through: the generation cache
-	// and cost model are shared by every pair, the hints come from the
-	// nearest already-synthesized neighbor. All three are nil-safe and
-	// nil when the chaos seam overrides the libraries.
+	// is shared by every pair, the hints come from the nearest
+	// already-synthesized neighbor. Both are nil-safe and nil when the
+	// chaos seam overrides the libraries.
 	opts.GenCache = s.genCache
-	opts.Cost = s.cost
 	opts.Hints = s.hints.Nearest(pair)
 	out, err := s.cfg.SynthFn(pair, opts)
 	if err != nil {
@@ -1192,12 +1116,7 @@ func (s *Service) synthesizeOnce(ctx context.Context, pair version.Pair) (res *s
 		}
 		return nil, failure.Wrapf(failure.Synthesis, "service: synthesizing %s: %w", pair, err)
 	}
-	// A completed pair warm-starts its neighbors, and the cost model's
-	// fresh observations survive restarts (best effort — losing either
-	// costs speed, never correctness).
+	// A completed pair warm-starts its neighbors.
 	s.hints.Store(out.Hints(opts))
-	if s.cost != nil && s.costPath != "" {
-		_ = s.cost.Save(s.costPath)
-	}
 	return out, nil
 }

@@ -384,8 +384,8 @@ func TestHandlerStatsVersionsHealth(t *testing.T) {
 }
 
 // The warm plan covers the full ordered matrix, nearest pairs first —
-// the order the coordinator's auto-warm and `siro -warm-matrix` rely on
-// to buy multi-hop route coverage earliest.
+// the order `sirod -auto-warm` and `siro -warm-matrix` rely on to buy
+// multi-hop route coverage earliest.
 func TestMatrixPairsOrderedByDistance(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	defer svc.Close()

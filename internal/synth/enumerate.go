@@ -28,10 +28,6 @@ type box struct {
 	// classes on this test's instructions (Optimization I); each class
 	// is validated through its first representative.
 	classes [][]*irlib.Atomic
-	// repKeys are the structural keys of each class's representative,
-	// populated only when a CostModel is attached (they are what the
-	// model scores and observes).
-	repKeys []string
 	// seeded marks a box whose pool came from neighbor-pair hints
 	// rather than this run's own refinement; if no assignment wins, the
 	// test is re-validated with seeded boxes widened to full pools.
@@ -135,8 +131,7 @@ type valSummary struct {
 // every per-test translator. Validations are independent, so they
 // parallelize across Options.Workers exactly as §5 of the paper
 // parallelizes them across threads; ValidateTime is the wall clock from
-// fan-out to join. Outcomes are fed to the CostModel when one is
-// attached.
+// fan-out to join.
 func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box, total int) valSummary {
 	start := time.Now()
 	entryBox := map[*ir.Instruction]*box{}
@@ -162,9 +157,7 @@ func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box
 		for i, bx := range boxes {
 			assign[bx] = bx.classes[idx[i]][0]
 		}
-		vstart := time.Now()
 		out := s.validateGuarded(t, byInst, entryBox, assign, deadline)
-		out.valTime = time.Since(vstart)
 		out.idx = idx
 		return out
 	}
@@ -202,10 +195,6 @@ func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box
 			outcomes = append(outcomes, validateIdx(cp))
 		})
 	}
-	cost := s.Opts.Cost
-	if !s.canonical {
-		cost = nil
-	}
 	for _, out := range outcomes {
 		s.stats.Validations++
 		if out.executed {
@@ -225,21 +214,15 @@ func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box
 				sum.winners[bx][out.idx[i]] = true
 			}
 		}
-		if cost != nil && len(boxes) > 0 {
-			share := out.valTime / time.Duration(len(boxes))
-			for i, bx := range boxes {
-				cost.Observe(bx.kind, bx.repKeys[out.idx[i]], out.ok, share)
-			}
-		}
 	}
 	s.stats.ValidateTime += time.Since(start)
 	return sum
 }
 
 // buildBoxes groups profile entries into enumeration boxes and attaches
-// candidate pools, applying Optimizations I and II, neighbor-pair hint
-// seeding (when useHints and a cell has no refinement of its own yet),
-// and cost-model class ordering.
+// candidate pools, applying Optimizations I and II and neighbor-pair
+// hint seeding (when useHints and a cell has no refinement of its own
+// yet).
 func (s *Synthesizer) buildBoxes(prof []*profEntry, useHints bool) ([]*box, error) {
 	byKey := map[string]*box{}
 	var order []string
@@ -261,10 +244,6 @@ func (s *Synthesizer) buildBoxes(prof []*profEntry, useHints bool) ([]*box, erro
 		bx.entries = append(bx.entries, e)
 	}
 	sort.Strings(order)
-	cost := s.Opts.Cost
-	if !s.canonical {
-		cost = nil
-	}
 	var out []*box
 	for _, key := range order {
 		bx := byKey[key]
@@ -288,13 +267,6 @@ func (s *Synthesizer) buildBoxes(prof []*profEntry, useHints bool) ([]*box, erro
 			return nil, failure.Wrapf(failure.Synthesis, "no candidates for instruction kind %s", bx.kind)
 		}
 		bx.classes = s.classify(bx, pool)
-		if cost != nil {
-			bx.repKeys = make([]string, len(bx.classes))
-			for i, cl := range bx.classes {
-				bx.repKeys[i] = cl[0].Key()
-			}
-			bx.classes, bx.repKeys = cost.Order(bx.kind, bx.classes, bx.repKeys)
-		}
 		out = append(out, bx)
 	}
 	return out, nil
@@ -438,7 +410,6 @@ type valOutcome struct {
 	panicked bool // rejected by panic isolation
 	timedOut bool // skipped or cut off by the test deadline
 	execTime time.Duration
-	valTime  time.Duration // end-to-end validation wall clock, for the cost model
 }
 
 // forEachAssignment walks the odometer over the boxes' class indices.

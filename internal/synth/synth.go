@@ -61,12 +61,6 @@ type Options struct {
 	// and validation visits every assignment, so refinement sees the
 	// same winner sets regardless of completion order.
 	Workers int
-	// Cost, when non-nil, reorders each enumeration box's candidate
-	// classes by observed win rate / apply cost so the assignment
-	// odometer visits likely winners first (see CostModel). Validation
-	// outcomes are fed back into the model as the run progresses. The
-	// model engages only for the canonical API libraries.
-	Cost *CostModel
 	// Hints, when non-nil, seeds refined-cell candidate pools from a
 	// neighboring pair's completed synthesis wherever the version-gate
 	// surface matches (see Hints). Seeded pools are re-validated on
@@ -212,8 +206,8 @@ type Synthesizer struct {
 
 	// canonical is true when the synthesis runs over the stock API
 	// libraries — the precondition for every cross-pair sharing
-	// mechanism (GenCache, Hints, CostModel feedback), because a
-	// poisoned chaos library shares signatures with the real one.
+	// mechanism (GenCache, Hints), because a poisoned chaos library
+	// shares signatures with the real one.
 	canonical bool
 
 	candidates   map[ir.Opcode][]*irlib.Atomic
@@ -356,9 +350,6 @@ func (s *Synthesizer) generate() {
 	s.stats.CandidatesPerKind = map[ir.Opcode]int{}
 	for op, cs := range s.candidates {
 		s.stats.CandidatesPerKind[op] = len(cs)
-		if s.canonical {
-			s.Opts.Cost.SeedCandidates(op, len(cs))
-		}
 	}
 }
 

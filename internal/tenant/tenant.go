@@ -5,9 +5,8 @@
 // traffic, and per-tenant accounting. It sits in front of
 // internal/service (the Gateway wraps the service's HTTP handler; a
 // Registry passed as service.Config.Tenants swaps the service's FIFO
-// worker queue for a FairQueue) and turns the admission, shedding,
-// breaker, and cluster machinery underneath into an identity-aware
-// service.
+// worker queue for a FairQueue) and turns the admission, shedding and
+// breaker machinery underneath into an identity-aware service.
 //
 // Keys are secrets: they are compared in constant time
 // (crypto/subtle), never logged, and never echoed in metrics, traces,
