@@ -13,9 +13,26 @@ import (
 // subgraph in the sense of Definition 4.2: every API node consumes one
 // term per parameter (consumption rule) and the root produces the target
 // instruction token (reachability rule).
+//
+// Terms are immutable once built. Candidate generation builds them with
+// NewTerm, which stores the structural key, and the GenCache then shares
+// them read-only across concurrent synthesizers; a literal Term (the
+// input leaf, terms assembled by hand) has no stored key and renders it
+// on every Key call.
 type Term struct {
 	API  *API
 	Args []*Term
+
+	key string // structural key stored by NewTerm; "" renders on demand
+}
+
+// NewTerm builds the term api(args...) and computes its structural key
+// once, from the arguments' keys. Nothing may modify the term or its
+// arguments afterwards: the stored key would go stale.
+func NewTerm(api *API, args []*Term) *Term {
+	t := &Term{API: api, Args: args}
+	t.key = t.renderKey()
+	return t
 }
 
 // InputTerm is the shared leaf denoting the instruction under translation.
@@ -33,8 +50,19 @@ func (t *Term) Tok() Tok {
 	return t.API.Ret
 }
 
-// Key renders a structural identity string used for deduplication.
+// Key is the term's structural identity string, used for
+// deduplication, memoization and persistence: the API name applied to
+// the arguments' keys, with "inst" for the input leaf. A term built by
+// NewTerm returns its stored key; any other term renders it, so Key
+// never writes to a term that other goroutines may be reading.
 func (t *Term) Key() string {
+	if t.key != "" {
+		return t.key
+	}
+	return t.renderKey()
+}
+
+func (t *Term) renderKey() string {
 	if t.IsInput() {
 		return "inst"
 	}

@@ -278,6 +278,7 @@ func New(cfg Config) *Service {
 	if canonical := cfg.Synth.Getters == nil && cfg.Synth.Builders == nil; canonical {
 		s.genCache = synth.NewGenCache()
 		s.hints = synth.NewHintsRegistry()
+		s.cache.opts.GenCache = s.genCache // disk hits generate through it too
 	}
 	for _, v := range cfg.Versions {
 		s.supported[v] = true

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ir"
+	"repro/internal/irlib"
 	"repro/internal/synth"
 	"repro/internal/version"
 )
@@ -117,6 +119,62 @@ func TestSharedCacheDirTwoServices(t *testing.T) {
 		}
 	}
 	t.Logf("%d pairs: %d syntheses across A and B, B disk hits %d", nPairs, total, b.Stats().Cache.DiskHits)
+}
+
+// A disk hit generates through the service's GenCache, as a synthesis
+// does, so a daemon serving a filled directory holds one candidate list
+// per generation surface instead of one per imported pair. Service A
+// fills the directory with the whole matrix; service B, which must not
+// synthesize, serves every pair from disk and ends with exactly A's
+// surfaces. Two neighbor artifacts B imported share their candidate
+// slice for a kind whose generation surface the pairs share.
+func TestDiskHitsShareGeneration(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("210 syntheses under the race detector; the synth race gate covers shared terms")
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+	a := New(Config{CacheDir: dir, Workers: 1})
+	defer a.Close()
+	all := len(a.MatrixPairs())
+	if n, err := a.WarmMatrix(ctx, nil); err != nil || n != all {
+		t.Fatalf("A warmed %d of %d pairs: %v", n, all, err)
+	}
+
+	b := New(Config{CacheDir: dir, Workers: 1, SynthFn: func(pair version.Pair, _ synth.Options) (*synth.Result, error) {
+		t.Errorf("B synthesized %s: the filled directory should have served it", pair)
+		return nil, errors.New("unexpected synthesis")
+	}})
+	defer b.Close()
+	if n, err := b.WarmMatrix(ctx, nil); err != nil || n != all {
+		t.Fatalf("B warmed %d of %d pairs: %v", n, all, err)
+	}
+	if st := b.Stats().Cache; st.DiskHits != int64(all) || st.Synthesized != 0 {
+		t.Fatalf("B cache = %+v, want %d disk hits and nothing synthesized", st, all)
+	}
+	if got, want := b.genCache.Len(), a.genCache.Len(); got != want || want == 0 {
+		t.Fatalf("B's GenCache holds %d surfaces after %d disk hits, A's %d after synthesizing them", got, all, want)
+	} else {
+		t.Logf("%d disk hits generated %d surfaces, as many as synthesis did", all, got)
+	}
+
+	// 12.0 and 13.0 expose the same add getters, and both pairs build
+	// with the 3.6 builders: one generation surface for add.
+	noSynth := func() (*synth.Result, error) { return nil, errors.New("not cached") }
+	var adds [][]*irlib.Atomic
+	for _, p := range []version.Pair{pair12to36, {Source: version.V13_0, Target: version.V3_6}} {
+		res, org, err := b.Cache().GetResult(ctx, p, noSynth)
+		if err != nil || res.Refined != nil {
+			t.Fatalf("%s: origin %v, err %v; want an imported result", p, org, err)
+		}
+		if len(res.Candidates[ir.Add]) == 0 {
+			t.Fatalf("%s: imported result has no add candidates", p)
+		}
+		adds = append(adds, res.Candidates[ir.Add])
+	}
+	if &adds[0][0] != &adds[1][0] {
+		t.Fatal("two imported neighbors hold private add candidate lists instead of the GenCache's shared one")
+	}
 }
 
 // Cache directories written while the service still had a synthesis

@@ -47,6 +47,12 @@ func (s *Synthesizer) complete() (*Result, error) {
 		}
 		s.stats.RefinedPerKind[op] = len(distinct)
 	}
+	if s.canonical {
+		res.cellSurfaces = make(map[ir.Opcode]string, len(s.mstar))
+		for op := range s.mstar {
+			res.cellSurfaces[op] = s.cellSurfaceOf(op)
+		}
+	}
 	s.stats.CompleteTime += time.Since(start)
 	res.Warnings = s.warnings
 	res.Stats = s.stats

@@ -26,10 +26,11 @@ import (
 // reused:
 //
 //   - GenCache shares generated candidate lists (the typegraph walk,
-//     the dominant cold-path phase) across every pair whose generation
-//     surface for the kind matches. Candidates are immutable after
-//     SortAtomics, so the shared slices are read-only and safe for the
-//     concurrent synthesizers of a warm-matrix run.
+//     the dominant cold-path phase) across every pair, synthesized or
+//     imported, whose generation surface for the kind matches.
+//     Candidates are immutable after SortAtomics, so the shared slices
+//     are read-only and safe for the concurrent synthesizers of a
+//     warm-matrix run.
 //   - Hints carry a completed pair's refined (kind, σ&) cells — the
 //     structural keys of the atomics that survived refinement — into a
 //     neighboring pair's synthesis, where they seed each matching
@@ -73,28 +74,42 @@ func (s *Synthesizer) genSurfaceOf(kind ir.Opcode) string {
 	return genSurface(kind, s.getters, s.builders, s.xlate, s.Opts.Gen)
 }
 
-// cellSurface extends the generation surface with the σ& alphabet (the
-// kind's predicate set), so a hint cell's sigma string and candidate
-// keys mean the same thing on both sides of a transfer. It deliberately
-// includes nothing else: a transferred pool is *re-validated* on the
-// receiving pair's tests and falls back to the full pool when it finds
-// no winner, so version differences the surface does not capture (a
-// getter whose behavior changed behind an identical signature, a target
-// text-format gate) cost a retry, never a wrong artifact.
+// cellSurfaceOf extends the generation surface with the σ& alphabet
+// (the kind's predicate set), so a hint cell's sigma string and
+// candidate keys mean the same thing on both sides of a transfer. It
+// deliberately includes nothing else: a transferred pool is
+// *re-validated* on the receiving pair's tests and falls back to the
+// full pool when it finds no winner, so version differences the surface
+// does not capture (a getter whose behavior changed behind an identical
+// signature, a target text-format gate) cost a retry, never a wrong
+// artifact. Each kind is digested once per synthesizer, on the
+// generation surface generate already computed when there is one.
 func (s *Synthesizer) cellSurfaceOf(kind ir.Opcode) string {
+	if surface, ok := s.cellSurfaces[kind]; ok {
+		return surface
+	}
+	gen, ok := s.genSurfaces[kind]
+	if !ok {
+		gen = s.genSurfaceOf(kind)
+	}
 	h := sha256.New()
 	io.WriteString(h, "siro-cellsurface-v1\n")
-	io.WriteString(h, s.genSurfaceOf(kind)+"\n")
+	io.WriteString(h, gen+"\n")
 	for _, p := range s.preds[kind] {
 		io.WriteString(h, "P "+p.Name+"\n")
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	surface := hex.EncodeToString(h.Sum(nil))
+	s.cellSurfaces[kind] = surface
+	return surface
 }
 
 // GenCache memoizes generated candidate lists across synthesizers,
 // keyed by generation surface. It is safe for concurrent use; cached
 // slices are shared read-only (candidate atomics are immutable after
-// SortAtomics assigns their IDs).
+// SortAtomics assigns their IDs, and their terms carry the keys NewTerm
+// stored, so reading a key writes nothing). Synthesis and Import both
+// generate through it, so the results of every pair a process
+// synthesized or loaded from disk share one candidate list per surface.
 type GenCache struct {
 	mu sync.RWMutex
 	m  map[string][]*irlib.Atomic
@@ -154,14 +169,16 @@ type Hints struct {
 	Cells []HintCell
 }
 
-// Hints extracts the cross-pair hints of a completed result. opts must
-// be the options the result was synthesized under; library overrides
-// (the chaos seam) make the result non-transferable and yield nil.
+// Hints extracts the cross-pair hints of a completed result: each
+// refined cell's atomic keys under the cell surface its synthesis
+// digested. opts must be the options the result was synthesized under;
+// library overrides (the chaos seam) make the result non-transferable
+// and yield nil. So does an imported result, whose artifact carries no
+// refined cells.
 func (r *Result) Hints(opts Options) *Hints {
 	if opts.Getters != nil || opts.Builders != nil {
 		return nil
 	}
-	s := New(r.Pair.Source, r.Pair.Target, opts)
 	out := &Hints{Pair: r.Pair}
 	kinds := make([]ir.Opcode, 0, len(r.Refined))
 	for kind := range r.Refined {
@@ -170,7 +187,10 @@ func (r *Result) Hints(opts Options) *Hints {
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	for _, kind := range kinds {
 		cells := r.Refined[kind]
-		surface := s.cellSurfaceOf(kind)
+		surface, ok := r.cellSurfaces[kind]
+		if !ok {
+			continue
+		}
 		sigmas := make([]string, 0, len(cells))
 		for sigma := range cells {
 			sigmas = append(sigmas, sigma)
@@ -212,12 +232,7 @@ func (s *Synthesizer) hintPool(kind ir.Opcode, sigma string) []*irlib.Atomic {
 			s.hintCells[c.Kind+"|"+c.Surface+"|"+c.Sigma] = c.Keys
 		}
 	}
-	surface, ok := s.cellSurfaces[kind]
-	if !ok {
-		surface = s.cellSurfaceOf(kind)
-		s.cellSurfaces[kind] = surface
-	}
-	keys, ok := s.hintCells[kind.String()+"|"+surface+"|"+sigma]
+	keys, ok := s.hintCells[kind.String()+"|"+s.cellSurfaceOf(kind)+"|"+sigma]
 	if !ok || len(keys) == 0 {
 		return nil
 	}

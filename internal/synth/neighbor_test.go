@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -11,6 +12,76 @@ import (
 
 func neighborTests(t *testing.T, v version.V) []*TestCase {
 	return []*TestCase{addTest(t, v), subTest(t, v)}
+}
+
+// Synthesizers and imports running at once read the same candidate
+// terms through one GenCache, and every synthesis reads the shared input
+// leaf. NewTerm stored each key before its term was published, so
+// reading a key writes nothing; under the race detector (make race) this
+// test is the guard. Two neighbor pairs synthesize over one GenCache with
+// parallel generation while the first pair's artifact is imported, and
+// their serial, cache-free reference runs go at the same time; each
+// shared-cache export must equal its reference. The references share no
+// lock with anything, so a key written on first use would race. That
+// holds only while no earlier test has keyed a term, so this test stays
+// the first in the package to synthesize.
+func TestGenCacheConcurrentSynthesisAndImport(t *testing.T) {
+	pairs := []version.Pair{
+		{Source: version.V12_0, Target: version.V3_6},
+		{Source: version.V13_0, Target: version.V3_6},
+	}
+	tests := make([][]*TestCase, len(pairs))
+	for i, p := range pairs {
+		tests[i] = neighborTests(t, p.Source)
+	}
+
+	gc := NewGenCache()
+	shared := make([][]byte, len(pairs)+1) // each pair's export, then the import's re-export
+	serial := make([][]byte, len(pairs))
+	errs := make([]error, 2*len(pairs))
+	var wg sync.WaitGroup
+	for i, p := range pairs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			res, err := New(p.Source, p.Target, Options{}).Run(tests[i])
+			if err == nil {
+				serial[i], err = res.Export()
+			}
+			errs[2*i] = err
+		}()
+		go func() {
+			defer wg.Done()
+			opts := Options{Workers: 2, GenCache: gc}
+			res, err := New(p.Source, p.Target, opts).Run(tests[i])
+			if err == nil {
+				shared[i], err = res.Export()
+			}
+			if err == nil && i == 0 {
+				if res, err = Import(shared[i], opts); err == nil {
+					shared[len(pairs)], err = res.Export()
+				}
+			}
+			errs[2*i+1] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := append(serial[:len(pairs):len(pairs)], serial[0])
+	names := []string{pairs[0].String(), pairs[1].String(), "import of " + pairs[0].String()}
+	for i := range want {
+		if !bytes.Equal(shared[i], want[i]) {
+			t.Errorf("%s over the shared GenCache exported bytes that differ from the serial run", names[i])
+		}
+	}
+	if gc.Len() == 0 {
+		t.Fatal("nothing went through the shared GenCache")
+	}
 }
 
 // A shared GenCache must make the second synthesis of an equal

@@ -166,12 +166,16 @@ func (r *Result) persistedForm(opts Options) persisted {
 }
 
 // Import reconstructs a Result from an exported artifact. The candidate
-// space is regenerated deterministically for the recorded version pair
-// and the stored structural keys are resolved against it; a key that no
-// longer resolves (e.g. the API surface changed) is an error, which is
-// the desired staleness check. Artifacts carrying a registry
-// fingerprint are additionally rejected up front when the fingerprint
-// no longer matches the current API surface.
+// space is regenerated deterministically for the recorded version pair,
+// through the same generation step synthesis uses, so an opts.GenCache
+// that already holds a kind's surface serves its candidate list without
+// a typegraph walk and the imported result shares that list. The stored
+// structural keys are resolved against it; a key that no longer
+// resolves (e.g. the API surface changed) is an error, which is the
+// desired staleness check. Artifacts carrying a registry fingerprint are
+// additionally rejected up front when the fingerprint no longer matches
+// the current API surface. The artifact holds no refined cells, so the
+// result's Refined is nil and its Hints are nil.
 func Import(data []byte, opts Options) (*Result, error) {
 	var p persisted
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -185,25 +189,19 @@ func Import(data []byte, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: import: bad target version: %w", err)
 	}
+	pair := version.Pair{Source: src, Target: tgt}
 	if p.Fingerprint != "" {
 		if now := Fingerprint(src, tgt, opts); now != p.Fingerprint {
 			return nil, fmt.Errorf("synth: import: artifact fingerprint %.12s does not match the current %s API registry (%.12s): re-synthesize",
-				p.Fingerprint, version.Pair{Source: src, Target: tgt}, now)
+				p.Fingerprint, pair, now)
 		}
 	}
-	getters := opts.Getters
-	if getters == nil {
-		getters = irlib.Getters(src)
-	}
-	builders := opts.Builders
-	if builders == nil {
-		builders = irlib.Builders(tgt)
-	}
-	xlate := irlib.XlateAPIs()
+	s := New(src, tgt, opts)
+	s.Prepare()
 
 	res := &Result{
-		Pair:        version.Pair{Source: src, Target: tgt},
-		Candidates:  map[ir.Opcode][]*irlib.Atomic{},
+		Pair:        pair,
+		Candidates:  s.candidates,
 		Translators: map[ir.Opcode]*InstTranslator{},
 	}
 	for _, pt := range p.Translators {
@@ -211,11 +209,8 @@ func Import(data []byte, opts Options) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("synth: import: unknown instruction kind %q", pt.Kind)
 		}
-		g := typegraph.Build(op, getters, builders, xlate)
-		cands := g.Candidates(opts.Gen)
-		typegraph.SortAtomics(cands)
-		res.Candidates[op] = cands
-		byKey := map[string]*irlib.Atomic{}
+		cands := s.candidates[op]
+		byKey := make(map[string]*irlib.Atomic, len(cands))
 		for _, a := range cands {
 			byKey[a.Key()] = a
 		}
@@ -224,7 +219,7 @@ func Import(data []byte, opts Options) (*Result, error) {
 			a, ok := byKey[pc.Atomic]
 			if !ok {
 				return nil, fmt.Errorf("synth: import: %s: atomic %q no longer exists in the %s API surface",
-					pt.Kind, pc.Atomic, version.Pair{Source: src, Target: tgt})
+					pt.Kind, pc.Atomic, pair)
 			}
 			sigma := pc.Sigma
 			if sigma == nil {

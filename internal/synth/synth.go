@@ -192,6 +192,11 @@ type Result struct {
 	Uncovered   []ir.Opcode                              // common kinds no test exercised
 	Warnings    []string
 	Stats       Stats
+
+	// cellSurfaces holds the cell surface of every refined kind, digested
+	// while the synthesizer still had its libraries, so Hints needs none
+	// (canonical libraries only; nil otherwise and after Import).
+	cellSurfaces map[ir.Opcode]string
 }
 
 // Synthesizer drives Alg. 2 for one version pair.
@@ -213,6 +218,7 @@ type Synthesizer struct {
 	candidates   map[ir.Opcode][]*irlib.Atomic
 	mstar        map[ir.Opcode]map[string][]*irlib.Atomic
 	hintCells    map[string][]string  // (kind|surface|sigma) → atomic keys, built lazily from Opts.Hints
+	genSurfaces  map[ir.Opcode]string // generation surfaces generate digested for the GenCache
 	cellSurfaces map[ir.Opcode]string // memoized cellSurfaceOf results
 	stats        Stats
 	warnings     []string
@@ -289,11 +295,13 @@ func (s *Synthesizer) Complete() (*Result, error) {
 // result is identical at any worker count; GenTime is the wall clock
 // from fan-out to join. Kinds whose generation surface is already in
 // the GenCache reuse the cached list (read-only) instead of rebuilding
-// the typegraph.
+// the typegraph. The surfaces digested for the GenCache are kept, so
+// cell surfaces built on them later do not digest the libraries again.
 func (s *Synthesizer) generate() {
 	start := time.Now()
 	ops := ir.CommonOpcodes(s.SrcVer, s.TgtVer)
 	results := make([][]*irlib.Atomic, len(ops))
+	surfaces := make([]string, len(ops))
 	cached := make([]bool, len(ops))
 	gc := s.Opts.GenCache
 	if !s.canonical {
@@ -304,6 +312,7 @@ func (s *Synthesizer) generate() {
 		var surface string
 		if gc != nil {
 			surface = s.genSurfaceOf(op)
+			surfaces[i] = surface
 			if cands, ok := gc.lookup(surface); ok {
 				results[i], cached[i] = cands, true
 				return
@@ -340,8 +349,12 @@ func (s *Synthesizer) generate() {
 		}
 	}
 	s.candidates = make(map[ir.Opcode][]*irlib.Atomic, len(ops))
+	s.genSurfaces = make(map[ir.Opcode]string, len(ops))
 	for i, op := range ops {
 		s.candidates[op] = results[i]
+		if surfaces[i] != "" {
+			s.genSurfaces[op] = surfaces[i]
+		}
 		if cached[i] {
 			s.stats.GenCacheHits++
 		}

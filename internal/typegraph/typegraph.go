@@ -152,8 +152,10 @@ func (g *Graph) Candidates(opts Options) []*irlib.Atomic {
 				continue
 			}
 			for _, combo := range combos(a.Params, pool, srcTok) {
-				t := &irlib.Term{API: a, Args: combo}
-				if addTerm(a.Ret, t) {
+				if len(pool[a.Ret]) >= opts.MaxTermsPerTok {
+					break // the pool is full: addTerm rejects every other combo
+				}
+				if addTerm(a.Ret, irlib.NewTerm(a, combo)) {
 					changed = true
 				}
 			}
@@ -168,7 +170,7 @@ func (g *Graph) Candidates(opts Options) []*irlib.Atomic {
 			if len(out) >= opts.MaxCandidates {
 				return out
 			}
-			root := &irlib.Term{API: b, Args: combo}
+			root := irlib.NewTerm(b, combo)
 			if root.Size() > opts.MaxTermSize+4 {
 				continue
 			}

@@ -1,6 +1,7 @@
 package typegraph
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -138,4 +139,55 @@ func TestUsefulTokensPrunesIrrelevant(t *testing.T) {
 	if !useful[irlib.Src(irlib.TokValue)] {
 		t.Error("Value token not useful for add")
 	}
+}
+
+// Candidate generation builds every term with irlib.NewTerm, which
+// stores the structural key once. Each stored key must equal a render of
+// the tree from scratch, for every node of every candidate of every
+// common kind, on pairs from both ends of the version range.
+func TestCandidateKeysMatchRender(t *testing.T) {
+	var render func(tm *irlib.Term) string
+	render = func(tm *irlib.Term) string {
+		if tm.API == nil {
+			return "inst"
+		}
+		if len(tm.Args) == 0 {
+			return tm.API.Name
+		}
+		parts := make([]string, len(tm.Args))
+		for i, a := range tm.Args {
+			parts[i] = render(a)
+		}
+		return tm.API.Name + "(" + strings.Join(parts, ",") + ")"
+	}
+	checked := map[*irlib.Term]bool{}
+	var check func(op ir.Opcode, tm *irlib.Term)
+	check = func(op ir.Opcode, tm *irlib.Term) {
+		if checked[tm] {
+			return
+		}
+		checked[tm] = true
+		if got, want := tm.Key(), render(tm); got != want {
+			t.Errorf("%s: stored key %q, rendered %q", op, got, want)
+		}
+		for _, a := range tm.Args {
+			check(op, a)
+		}
+	}
+	for _, p := range []version.Pair{
+		{Source: version.V3_6, Target: version.V17_0},
+		{Source: version.V12_0, Target: version.V3_6},
+		{Source: version.V17_0, Target: version.V3_6},
+	} {
+		getters, builders, xlate := irlib.Getters(p.Source), irlib.Builders(p.Target), irlib.XlateAPIs()
+		for _, op := range ir.CommonOpcodes(p.Source, p.Target) {
+			for _, a := range Build(op, getters, builders, xlate).Candidates(Options{}) {
+				check(op, a.Root)
+			}
+		}
+	}
+	if len(checked) < 1000 {
+		t.Fatalf("checked only %d terms; generation produced too little to prove anything", len(checked))
+	}
+	t.Logf("%d distinct terms checked", len(checked))
 }
