@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz soak soak-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-service bench-obs bench-gateway bench-synth bench-stream bench-e2e clean
+.PHONY: check fmt vet build test race fuzz soak soak-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-obs bench-gateway bench-synth bench-e2e clean
 
 check: fmt vet build test race
 
@@ -108,15 +108,10 @@ load-smoke:
 # Umbrella benchmark gate: every in-process bench-* gate, so a new gate
 # added here cannot silently drift out of "run all the benchmarks". The
 # end-to-end benchmark (bench-e2e) is a separate, minutes-long run.
-bench: bench-micro bench-service bench-obs bench-gateway bench-synth bench-stream
+bench: bench-micro bench-obs bench-gateway bench-synth
 
 bench-micro:
 	$(GO) test -bench=. -benchmem
-
-# Cache-hit vs cold-synthesis service benchmark; asserts a >= 10x
-# speedup and writes the measurements to BENCH_service.json.
-bench-service:
-	SIRO_BENCH_JSON=$(CURDIR)/BENCH_service.json $(GO) test ./internal/service -run TestServiceBenchReport -count=1 -v
 
 # Instrumented vs uninstrumented cache-hit benchmark; asserts the
 # observability layer costs <= 5% and writes BENCH_obs.json.
@@ -137,12 +132,6 @@ bench-gateway:
 # >= 1.2x warm-neighbor speedup; writes BENCH_synth.json.
 bench-synth:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_synth.json $(GO) test ./internal/synth -run TestSynthBenchReport -count=1 -v -timeout 20m
-
-# Streaming vs batch peak-live-heap benchmark on a generated module and
-# its 10x sibling; asserts streaming's peak growth stays <= 1.3x while
-# batch's scales >= 5x, and writes BENCH_stream.json.
-bench-stream:
-	SIRO_BENCH_JSON=$(CURDIR)/BENCH_stream.json $(GO) test ./internal/service -run TestStreamBenchReport -count=1 -v
 
 # Layered end-to-end benchmark: every workload against a real sirod built
 # from this checkout (see bench/README.md). Prints one JSON result per

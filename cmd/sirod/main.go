@@ -64,7 +64,7 @@ func main() {
 	traceLog := flag.String("trace-log", "", "append one JSON line per slow translate request to this file (see -slow)")
 	slow := flag.Duration("slow", time.Second, "requests at or above this wall time go to -trace-log (0 logs every request)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	noMetrics := flag.Bool("no-metrics", false, "disable the metrics registry and the /metrics endpoint")
+	noMetrics := flag.Bool("no-metrics", false, "disable the metrics registry, /metrics, the latency histograms and the heap watchdog; /v1/stats keeps counting")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT: stop admission, flush in-flight jobs, then exit")
 	maxRetries := flag.Int("max-retries", 2, "transient synthesis failures retried with jittered backoff before the pair's breaker advances")
 	shedQueue := flag.Int("shed-queue", 0, "queue depth at which admission sheds with 429 + Retry-After (0: shed only when -queue is full, negative: block instead of shedding); with -tenants it bounds each tenant's own queue, which always sheds")

@@ -53,6 +53,10 @@ var (
 // classes in ExitCode priority order.
 var classes = []*Class{Parse, Synthesis, Validation, Budget, Unsupported, Auth}
 
+// Classes returns every class, in ExitCode priority order. The slice
+// is a fresh copy, so callers cannot reorder the taxonomy.
+func Classes() []*Class { return append([]*Class(nil), classes...) }
+
 // classified tags an error with its class; both the class and the
 // wrapped error stay visible to errors.Is/errors.As.
 type classified struct {

@@ -57,11 +57,11 @@ func (o Origin) String() string {
 	return "?"
 }
 
-// CacheStats counts cache traffic. Lookups is incremented before the
-// corresponding outcome counter under the same mutex, so in every
-// snapshot the per-outcome counters sum to at most Lookups — the
-// invariant /v1/stats and /metrics consumers may rely on (hits never
-// exceed lookups; the difference is the lookups still in flight).
+// CacheStats counts cache traffic. Every lookup is counted before its
+// outcome, and Cache.Stats reads the outcome counters before Lookups,
+// so in every snapshot the per-outcome counters sum to at most Lookups
+// — the invariant /v1/stats consumers may rely on (hits never exceed
+// lookups; the difference is the lookups still in flight).
 type CacheStats struct {
 	Lookups      int64 `json:"lookups"`
 	MemoryHits   int64 `json:"memory_hits"`
@@ -89,13 +89,12 @@ type Cache struct {
 	max      int    // LRU capacity (entries)
 	maxBytes int64  // on-disk artifact budget; 0 = unbounded
 	opts     synth.Options
-	met      cacheMetrics // registry mirror of stats; zero value inert
+	met      cacheMetrics // the cache's counters; Stats reads them
 
 	mu     sync.Mutex
 	ll     *list.List // front = most recent; values are *cacheEntry
 	items  map[string]*list.Element
 	flight map[string]*flightCall
-	stats  CacheStats
 
 	gcMu sync.Mutex // serializes on-disk GC sweeps (never held with mu)
 }
@@ -130,6 +129,7 @@ func NewCache(dir string, maxEntries int, opts synth.Options) *Cache {
 		ll:     list.New(),
 		items:  map[string]*list.Element{},
 		flight: map[string]*flightCall{},
+		met:    newCacheMetrics(nil),
 	}
 }
 
@@ -188,22 +188,18 @@ func (c *Cache) GetResult(ctx context.Context, pair version.Pair, synthesize fun
 func (c *Cache) get(ctx context.Context, pair version.Pair, synthesize func() (*synth.Result, error)) (*cacheEntry, Origin, error) {
 	key := c.Key(pair)
 	for {
-		c.mu.Lock()
-		// The lookup is counted before its outcome (same critical
-		// section), so outcome counters can never exceed Lookups in any
-		// snapshot.
-		c.stats.Lookups++
+		// The lookup is counted before its outcome, so outcome counters
+		// can never exceed Lookups in any snapshot (see Stats).
 		c.met.lookups.Inc()
+		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
 			c.ll.MoveToFront(el)
-			c.stats.MemoryHits++
 			c.met.memoryHits.Inc()
 			e := el.Value.(*cacheEntry)
 			c.mu.Unlock()
 			return e, OriginMemory, nil
 		}
 		if fl, ok := c.flight[key]; ok {
-			c.stats.Deduplicated++
 			c.met.deduplicated.Inc()
 			c.mu.Unlock()
 			e, org, err := c.await(ctx, pair, key, fl, true)
@@ -242,10 +238,8 @@ func (c *Cache) lead(pair version.Pair, key string, fl *flightCall, synthesize f
 		c.insert(e)
 		switch org {
 		case OriginDisk:
-			c.stats.DiskHits++
 			c.met.diskHits.Inc()
 		case OriginSynth:
-			c.stats.Synthesized++
 			c.met.synthesized.Inc()
 		}
 	}
@@ -301,9 +295,6 @@ func (c *Cache) load(pair version.Pair, key string, synthesize func() (*synth.Re
 			}
 			// A stale or corrupt artifact is a miss, not a failure: drop
 			// it and re-synthesize.
-			c.mu.Lock()
-			c.stats.StaleDropped++
-			c.mu.Unlock()
 			c.met.staleDropped.Inc()
 			os.Remove(c.path(pair, key))
 		}
@@ -424,9 +415,6 @@ func (c *Cache) gc(justWrote string) {
 		}
 		if os.Remove(a.path) == nil {
 			total -= a.size
-			c.mu.Lock()
-			c.stats.GCEvictions++
-			c.mu.Unlock()
 			c.met.gcEvictions.Inc()
 		}
 	}
@@ -445,7 +433,6 @@ func (c *Cache) insert(e *cacheEntry) {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*cacheEntry).key)
-		c.stats.Evictions++
 		c.met.evictions.Inc()
 	}
 }
@@ -463,9 +450,8 @@ func (c *Cache) Quarantine(pair version.Pair) error {
 		c.ll.Remove(el)
 		delete(c.items, key)
 	}
-	c.stats.Quarantined++
-	c.met.quarantined.Inc()
 	c.mu.Unlock()
+	c.met.quarantined.Inc()
 	if c.dir == "" {
 		return nil
 	}
@@ -504,9 +490,22 @@ func (c *Cache) Pairs() []version.Pair {
 	return out
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache counters, the same ones /metrics exports
+// for a service's cache. The outcome counters are read before Lookups:
+// every outcome's lookup was counted before it, so the outcomes never
+// sum past Lookups in a snapshot.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	m := c.met
+	st := CacheStats{
+		MemoryHits:   m.memoryHits.Value(),
+		DiskHits:     m.diskHits.Value(),
+		Synthesized:  m.synthesized.Value(),
+		Deduplicated: m.deduplicated.Value(),
+		Evictions:    m.evictions.Value(),
+		StaleDropped: m.staleDropped.Value(),
+		Quarantined:  m.quarantined.Value(),
+		GCEvictions:  m.gcEvictions.Value(),
+	}
+	st.Lookups = m.lookups.Value()
+	return st
 }

@@ -239,7 +239,7 @@ func jobFromWire(w jobWire) *jobRec {
 // exitCodeForClass maps a journaled class name back to its exit code
 // without holding the original error.
 func exitCodeForClass(class string) int {
-	for _, c := range []*failure.Class{failure.Parse, failure.Synthesis, failure.Validation, failure.Budget, failure.Unsupported, failure.Auth} {
+	for _, c := range failure.Classes() {
 		if c.Error() == class {
 			return failure.ExitCode(c)
 		}

@@ -38,12 +38,6 @@ var stageNames = []string{
 	stageRoute, stageValidate, stageTranslate, stageHop, stageWrite, stageStream,
 }
 
-// failureClasses are the label values of siro_failures_total, matching
-// the keys of Stats.FailureClasses so /metrics and /v1/stats agree.
-var failureClasses = []*failure.Class{
-	failure.Parse, failure.Synthesis, failure.Validation, failure.Budget, failure.Unsupported,
-}
-
 const unclassified = "unclassified"
 
 // classLabel is the failure-class label value (and /v1/stats map key)
@@ -55,16 +49,42 @@ func classLabel(err error) string {
 	return unclassified
 }
 
+// counter returns the named counter series on reg. With metrics off
+// (nil reg) it returns an unregistered counter instead, which still
+// counts: Stats reads the same counters /metrics exports, so they must
+// stay live when nothing exports them.
+func counter(reg *obs.Registry, name, help string, kv ...string) *obs.Counter {
+	if reg == nil {
+		return new(obs.Counter)
+	}
+	return reg.Counter(name, help, kv...)
+}
+
+// failureCounters binds one counter per failure class plus
+// unclassified, keyed by classLabel; mk makes the counter for a label.
+func failureCounters(mk func(class string) *obs.Counter) map[string]*obs.Counter {
+	out := map[string]*obs.Counter{}
+	for _, c := range failure.Classes() {
+		out[c.Error()] = mk(c.Error())
+	}
+	out[unclassified] = mk(unclassified)
+	return out
+}
+
 // serviceMetrics pre-binds every instrument the service updates, so
-// the hot path is pure atomics — no registry lookups, no locks. A nil
-// *serviceMetrics (observability disabled) makes every method a no-op;
-// the nested obs instruments are themselves nil-safe.
+// the hot path is pure atomics — no registry lookups, no locks. It is
+// never nil. Its counters are the service's only counts: Stats reads
+// them, and /metrics exports those that have a series. With metrics
+// off (nil reg) the counters Stats reads are unregistered but live;
+// every other instrument is nil, and the obs instruments discard
+// updates on a nil receiver.
 type serviceMetrics struct {
-	reg *obs.Registry
+	reg *obs.Registry // nil when metrics are off
 
 	reqOK, reqErr *obs.Counter
-	failures      map[string]*obs.Counter
+	failures      map[string]*obs.Counter // by classLabel
 	multiHop      *obs.Counter
+	coalesced     *obs.Counter // no series: Stats only
 
 	queueDepth *obs.Gauge
 	queueWait  *obs.Histogram
@@ -86,12 +106,13 @@ type serviceMetrics struct {
 
 	translatedInsts, emittedInsts *obs.Counter
 
-	streamIn, streamOut *obs.Counter // streamed bytes by direction
-	heapAlloc           *obs.Gauge   // watchdog: live heap after the last sample
-	streamMemInUse      *obs.Gauge   // watchdog: governor-leased bytes
-	streamMemParked     *obs.Gauge   // watchdog: streams parked for capacity
-	streamParks         *obs.Gauge   // cumulative parks (gauge: set from governor stats)
-	streamRejections    *obs.Gauge   // cumulative budget rejections
+	streamReqs, streamFailed *obs.Counter // no series: Stats only
+	streamIn, streamOut      *obs.Counter // streamed bytes by direction
+	heapAlloc                *obs.Gauge   // watchdog: live heap after the last sample
+	streamMemInUse           *obs.Gauge   // watchdog: governor-leased bytes
+	streamMemParked          *obs.Gauge   // watchdog: streams parked for capacity
+	streamParks              *obs.Gauge   // cumulative parks (gauge: set from governor stats)
+	streamRejections         *obs.Gauge   // cumulative budget rejections
 
 	retries      *obs.Counter
 	shed         *obs.Counter
@@ -116,12 +137,13 @@ type tenantMetrics struct {
 	failures  map[string]*obs.Counter
 	shed      *obs.Counter
 	coalesced *obs.Counter
+	streamed  *obs.Counter // no series: Stats only
 	depth     *obs.Gauge
 }
 
-// cacheMetrics mirrors CacheStats into the registry. The zero value
-// (all nil) is inert, so a standalone Cache (cmd/siro without a
-// service) carries no instrumentation.
+// cacheMetrics holds the cache's counters, which Cache.Stats reads. A
+// standalone Cache (cmd/siro without a service) gets unregistered
+// ones; a service's cache shares the service's registry.
 type cacheMetrics struct {
 	lookups      *obs.Counter
 	memoryHits   *obs.Counter
@@ -133,11 +155,29 @@ type cacheMetrics struct {
 	quarantined  *obs.Counter
 	gcEvictions  *obs.Counter
 	// onTranslate is installed as the Observer of every translator the
-	// cache constructs, feeding instruction-throughput counters.
+	// cache constructs, feeding instruction-throughput counters; nil
+	// when metrics are off.
 	onTranslate func(srcInsts, emittedInsts int)
 }
 
-// routerMetrics is the router's slice of the registry; zero value inert.
+func newCacheMetrics(reg *obs.Registry) cacheMetrics {
+	const help = "Translator cache events."
+	return cacheMetrics{
+		lookups:      counter(reg, "siro_cache_lookups_total", "Translator cache lookups."),
+		memoryHits:   counter(reg, "siro_cache_events_total", help, "event", "memory_hit"),
+		diskHits:     counter(reg, "siro_cache_events_total", help, "event", "disk_hit"),
+		synthesized:  counter(reg, "siro_cache_events_total", help, "event", "synthesized"),
+		deduplicated: counter(reg, "siro_cache_events_total", help, "event", "deduplicated"),
+		evictions:    counter(reg, "siro_cache_events_total", help, "event", "eviction"),
+		staleDropped: counter(reg, "siro_cache_events_total", help, "event", "stale_dropped"),
+		quarantined:  counter(reg, "siro_cache_events_total", help, "event", "quarantined"),
+		gcEvictions:  counter(reg, "siro_cache_gc_evictions_total", "On-disk artifacts removed by the size-bounded cache GC."),
+	}
+}
+
+// routerMetrics is the router's slice of the service's instruments.
+// Stats reads none of them; the zero value (a standalone router) is
+// inert.
 type routerMetrics struct {
 	routesOK, routesErr *obs.Counter
 	hops                *obs.Counter
@@ -148,24 +188,21 @@ type routerMetrics struct {
 }
 
 // newServiceMetrics registers the service's metric families on reg and
-// returns the bound instruments; a nil reg returns nil (observability
-// off).
+// returns the bound instruments. A nil reg (metrics off) binds
+// unregistered counters for everything Stats reads and nil for the
+// rest.
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &serviceMetrics{reg: reg}
 
 	const reqHelp = "Translation requests by outcome."
-	m.reqOK = reg.Counter("siro_requests_total", reqHelp, "outcome", "ok")
-	m.reqErr = reg.Counter("siro_requests_total", reqHelp, "outcome", "error")
-	m.failures = map[string]*obs.Counter{}
+	m.reqOK = counter(reg, "siro_requests_total", reqHelp, "outcome", "ok")
+	m.reqErr = counter(reg, "siro_requests_total", reqHelp, "outcome", "error")
 	const failHelp = "Failed requests by failure class."
-	for _, c := range failureClasses {
-		m.failures[c.Error()] = reg.Counter("siro_failures_total", failHelp, "class", c.Error())
-	}
-	m.failures[unclassified] = reg.Counter("siro_failures_total", failHelp, "class", unclassified)
-	m.multiHop = reg.Counter("siro_multi_hop_requests_total", "Requests served through a composed multi-hop chain.")
+	m.failures = failureCounters(func(class string) *obs.Counter {
+		return counter(reg, "siro_failures_total", failHelp, "class", class)
+	})
+	m.multiHop = counter(reg, "siro_multi_hop_requests_total", "Requests served through a composed multi-hop chain.")
+	m.coalesced = new(obs.Counter)
 
 	m.queueDepth = reg.Gauge("siro_queue_depth", "Jobs waiting in the worker queue.")
 	m.queueWait = reg.Histogram("siro_queue_wait_seconds", "Time from enqueue to worker pickup.", nil)
@@ -196,19 +233,20 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	m.translatedInsts = reg.Counter("siro_translated_instructions_total", "Source instructions dispatched through translators.")
 	m.emittedInsts = reg.Counter("siro_emitted_instructions_total", "Target instructions emitted by translators.")
 
+	m.streamReqs, m.streamFailed = new(obs.Counter), new(obs.Counter)
 	const streamedHelp = "Bytes through the streaming translation path by direction."
-	m.streamIn = reg.Counter("siro_streamed_bytes_total", streamedHelp, "direction", "in")
-	m.streamOut = reg.Counter("siro_streamed_bytes_total", streamedHelp, "direction", "out")
+	m.streamIn = counter(reg, "siro_streamed_bytes_total", streamedHelp, "direction", "in")
+	m.streamOut = counter(reg, "siro_streamed_bytes_total", streamedHelp, "direction", "out")
 	m.heapAlloc = reg.Gauge("siro_heap_alloc_bytes", "Live heap at the last watchdog sample.")
 	m.streamMemInUse = reg.Gauge("siro_stream_mem_inuse_bytes", "Bytes leased from the streaming memory governor.")
 	m.streamMemParked = reg.Gauge("siro_stream_mem_parked", "Streams parked waiting for streaming-memory capacity.")
 	m.streamParks = reg.Gauge("siro_stream_mem_parks_total", "Cumulative stream acquisitions that had to park.")
 	m.streamRejections = reg.Gauge("siro_stream_mem_rejections_total", "Cumulative stream acquisitions rejected by the memory budget.")
 
-	m.retries = reg.Counter("siro_retries_total", "Synthesis retry attempts (transient failure classes only).")
-	m.shed = reg.Counter("siro_shed_total", "Requests rejected by admission control (queue full or deadline-aware).")
-	m.degraded = reg.Counter("siro_degraded_total", "Requests served by partial translation under queue pressure.")
-	m.quarantined = reg.Counter("siro_quarantined_total", "Translators quarantined by serve-time differential validation.")
+	m.retries = counter(reg, "siro_retries_total", "Synthesis retry attempts (transient failure classes only).")
+	m.shed = counter(reg, "siro_shed_total", "Requests rejected by admission control (queue full or deadline-aware).")
+	m.degraded = counter(reg, "siro_degraded_total", "Requests served by partial translation under queue pressure.")
+	m.quarantined = counter(reg, "siro_quarantined_total", "Translators quarantined by serve-time differential validation.")
 	m.drainSeconds = reg.Histogram("siro_drain_seconds", "Graceful-drain duration, one observation per drain.", nil)
 	const transHelp = "Circuit breaker state transitions by destination state."
 	m.transitions = map[string]*obs.Counter{}
@@ -216,21 +254,12 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		m.transitions[st.String()] = reg.Counter("siro_breaker_transitions_total", transHelp, "to", st.String())
 	}
 
-	const cacheHelp = "Translator cache events."
-	m.cache = cacheMetrics{
-		lookups:      reg.Counter("siro_cache_lookups_total", "Translator cache lookups."),
-		memoryHits:   reg.Counter("siro_cache_events_total", cacheHelp, "event", "memory_hit"),
-		diskHits:     reg.Counter("siro_cache_events_total", cacheHelp, "event", "disk_hit"),
-		synthesized:  reg.Counter("siro_cache_events_total", cacheHelp, "event", "synthesized"),
-		deduplicated: reg.Counter("siro_cache_events_total", cacheHelp, "event", "deduplicated"),
-		evictions:    reg.Counter("siro_cache_events_total", cacheHelp, "event", "eviction"),
-		staleDropped: reg.Counter("siro_cache_events_total", cacheHelp, "event", "stale_dropped"),
-		quarantined:  reg.Counter("siro_cache_events_total", cacheHelp, "event", "quarantined"),
-		gcEvictions:  reg.Counter("siro_cache_gc_evictions_total", "On-disk artifacts removed by the size-bounded cache GC."),
-		onTranslate: func(src, emitted int) {
+	m.cache = newCacheMetrics(reg)
+	if reg != nil {
+		m.cache.onTranslate = func(src, emitted int) {
 			m.translatedInsts.Add(int64(src))
 			m.emittedInsts.Add(int64(emitted))
-		},
+		}
 	}
 	m.router = routerMetrics{
 		routesOK:  m.routesOK,
@@ -257,82 +286,107 @@ func (m *serviceMetrics) tenantMet(id string) *tenantMetrics {
 		const reqHelp = "Translation requests by tenant and outcome."
 		const failHelp = "Failed requests by tenant and failure class."
 		tm = &tenantMetrics{
-			ok:        reg.Counter("siro_tenant_translations_total", reqHelp, "tenant", id, "outcome", "ok"),
-			err:       reg.Counter("siro_tenant_translations_total", reqHelp, "tenant", id, "outcome", "error"),
-			failures:  map[string]*obs.Counter{},
-			shed:      reg.Counter("siro_tenant_shed_total", "Admissions shed by tenant.", "tenant", id),
-			coalesced: reg.Counter("siro_tenant_coalesced_total", "Requests served by sharing an in-flight translation, by tenant.", "tenant", id),
+			ok:  counter(reg, "siro_tenant_translations_total", reqHelp, "tenant", id, "outcome", "ok"),
+			err: counter(reg, "siro_tenant_translations_total", reqHelp, "tenant", id, "outcome", "error"),
+			failures: failureCounters(func(class string) *obs.Counter {
+				return reg.Counter("siro_tenant_failures_total", failHelp, "tenant", id, "class", class)
+			}),
+			shed:      counter(reg, "siro_tenant_shed_total", "Admissions shed by tenant.", "tenant", id),
+			coalesced: counter(reg, "siro_tenant_coalesced_total", "Requests served by sharing an in-flight translation, by tenant.", "tenant", id),
+			streamed:  new(obs.Counter),
 			depth:     reg.Gauge("siro_tenant_queue_depth", "Fair-queue backlog by tenant.", "tenant", id),
 		}
-		for _, c := range failureClasses {
-			tm.failures[c.Error()] = reg.Counter("siro_tenant_failures_total", failHelp, "tenant", id, "class", c.Error())
-		}
-		tm.failures[unclassified] = reg.Counter("siro_tenant_failures_total", failHelp, "tenant", id, "class", unclassified)
 		m.tenant[id] = tm
 	}
 	return tm
 }
 
-// tenantOutcome mirrors recordOutcome under the tenant label. The
-// anonymous tenant ("") is skipped: untenanted deployments keep their
-// metric surface unchanged.
-func (m *serviceMetrics) tenantOutcome(id string, err error) {
-	if m == nil || id == "" {
-		return
+// tenantStats snapshots every tenant's counters (QueueDepth is the
+// caller's to fill).
+func (m *serviceMetrics) tenantStats() map[string]TenantStats {
+	m.tenantMu.Lock()
+	defer m.tenantMu.Unlock()
+	if len(m.tenant) == 0 {
+		return nil
 	}
-	tm := m.tenantMet(id)
+	out := make(map[string]TenantStats, len(m.tenant))
+	for id, tm := range m.tenant {
+		ok, failed := tm.ok.Value(), tm.err.Value()
+		out[id] = TenantStats{
+			Requests:      ok + failed,
+			Completed:     ok,
+			Failed:        failed,
+			Shed:          tm.shed.Value(),
+			Coalesced:     tm.coalesced.Value(),
+			StreamedBytes: tm.streamed.Value(),
+		}
+	}
+	return out
+}
+
+// failureClasses snapshots the non-zero per-class failure counts.
+func (m *serviceMetrics) failureClasses() map[string]int64 {
+	out := map[string]int64{}
+	for class, c := range m.failures {
+		if n := c.Value(); n > 0 {
+			out[class] = n
+		}
+	}
+	return out
+}
+
+// outcome counts one request's outcome, service-wide and, for a
+// non-anonymous id, under the tenant label: untenanted deployments
+// keep their metric surface unchanged.
+func (m *serviceMetrics) outcome(id string, route []version.V, err error) {
+	var tm *tenantMetrics
+	if id != "" {
+		tm = m.tenantMet(id)
+	}
 	if err != nil {
-		tm.err.Inc()
-		if c, ok := tm.failures[classLabel(err)]; ok {
-			c.Inc()
+		class := classLabel(err)
+		m.failures[class].Inc()
+		m.reqErr.Inc()
+		if tm != nil {
+			tm.failures[class].Inc()
+			tm.err.Inc()
 		}
 		return
 	}
-	tm.ok.Inc()
-}
-
-func (m *serviceMetrics) tenantShed(id string) {
-	if m == nil || id == "" {
-		return
+	if len(route) > 2 {
+		m.multiHop.Inc()
 	}
-	m.tenantMet(id).shed.Inc()
-}
-
-func (m *serviceMetrics) tenantCoalesced(id string) {
-	if m == nil || id == "" {
-		return
+	m.reqOK.Inc()
+	if tm != nil {
+		tm.ok.Inc()
 	}
-	m.tenantMet(id).coalesced.Inc()
 }
 
 // tenantQueueDepth is the fair queue's depth observer. It runs with
 // the queue lock held, so it must not re-enter the queue (it doesn't:
-// registry and tenant-map locks only). Like tenantOutcome it skips the
+// registry and tenant-map locks only). Like outcome it skips the
 // anonymous tenant, whose identity-less jobs share the fair queue.
 func (m *serviceMetrics) tenantQueueDepth(id string, depth int) {
-	if m == nil || id == "" {
+	if id == "" {
 		return
 	}
 	m.tenantMet(id).depth.Set(int64(depth))
 }
 
-// Registry exposes the underlying registry (nil when disabled).
-func (m *serviceMetrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
+// timed reports whether a stage timing has anywhere to go: the
+// stage histograms (metrics on) or the request's trace.
+func (m *serviceMetrics) timed(ctx context.Context) bool {
+	return m.reg != nil || obs.TraceFrom(ctx) != nil
 }
 
 // stageTimer starts a pipeline stage: the returned func records its
 // duration into the request trace (when ctx carries one) and the stage
-// histogram. Usable with a nil receiver — tracing still works with
-// metrics disabled.
+// histogram. Tracing still works with metrics off.
 func (m *serviceMetrics) stageTimer(ctx context.Context, name string) func() {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil && m == nil {
+	if !m.timed(ctx) {
 		return func() {}
 	}
+	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	return func() { m.stageDone(tr, name, time.Since(start)) }
 }
@@ -344,59 +398,22 @@ func (m *serviceMetrics) stageDur(ctx context.Context, name string, d time.Durat
 
 func (m *serviceMetrics) stageDone(tr *obs.Trace, name string, d time.Duration) {
 	tr.Add(name, d)
-	if m != nil {
-		m.stages[name].ObserveDuration(d)
-	}
+	m.stages[name].ObserveDuration(d)
 }
 
-// recordOutcome mirrors Service.record into the registry.
-func (m *serviceMetrics) recordOutcome(route []version.V, err error) {
-	if m == nil {
-		return
-	}
-	if err != nil {
-		m.reqErr.Inc()
-		if c, ok := m.failures[classLabel(err)]; ok {
-			c.Inc()
-		}
-		return
-	}
-	m.reqOK.Inc()
-	if len(route) > 2 {
-		m.multiHop.Inc()
-	}
-}
-
-// breakerChange mirrors a circuit breaker transition into the
-// per-pair siro_breaker_state gauge (0 closed, 1 half-open, 2 open)
-// and the transition counter. Called with the breaker Set's lock held;
-// the registry has its own independent lock.
+// breakerChange exports a circuit breaker transition as the per-pair
+// siro_breaker_state gauge (0 closed, 1 half-open, 2 open) and the
+// transition counter. Called with the breaker Set's lock held; the
+// registry has its own independent lock.
 func (m *serviceMetrics) breakerChange(key string, to resilience.State) {
-	if m == nil {
-		return
-	}
 	m.reg.Gauge("siro_breaker_state", "Circuit breaker state by version pair (0 closed, 1 half-open, 2 open).", "pair", key).Set(int64(to))
-	if c, ok := m.transitions[to.String()]; ok {
-		c.Inc()
-	}
-}
-
-// streamedBytes counts one stream's traffic.
-func (m *serviceMetrics) streamedBytes(in, out int64) {
-	if m == nil {
-		return
-	}
-	m.streamIn.Add(in)
-	m.streamOut.Add(out)
+	m.transitions[to.String()].Inc()
 }
 
 // watchdogSample exports one heap-watchdog observation. The governor's
 // cumulative counters export as gauges set to the latest snapshot —
 // monotone by construction, sampled rather than incremented.
 func (m *serviceMetrics) watchdogSample(heapAlloc uint64, gs resilience.MemStats) {
-	if m == nil {
-		return
-	}
 	m.heapAlloc.Set(int64(heapAlloc))
 	m.streamMemInUse.Set(gs.InUse)
 	m.streamMemParked.Set(int64(gs.Parked))
@@ -404,42 +421,9 @@ func (m *serviceMetrics) watchdogSample(heapAlloc uint64, gs resilience.MemStats
 	m.streamRejections.Set(int64(gs.Rejections))
 }
 
-func (m *serviceMetrics) retriesInc() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
-func (m *serviceMetrics) shedInc() {
-	if m != nil {
-		m.shed.Inc()
-	}
-}
-
-func (m *serviceMetrics) degradedInc() {
-	if m != nil {
-		m.degraded.Inc()
-	}
-}
-
-func (m *serviceMetrics) quarantinedInc() {
-	if m != nil {
-		m.quarantined.Inc() // Cache.Quarantine separately counts the cache event
-	}
-}
-
-func (m *serviceMetrics) drainDone(d time.Duration) {
-	if m != nil {
-		m.drainSeconds.ObserveDuration(d)
-	}
-}
-
 // recordSynth exports one synthesis run's enumeration counts and phase
 // times — the §6.4 measurements, live.
 func (m *serviceMetrics) recordSynth(st synth.Stats) {
-	if m == nil {
-		return
-	}
 	m.synthCandidates.Add(int64(st.CandidatesTotal()))
 	m.synthPerTest.Add(int64(st.PerTestTotal))
 	m.synthValidations.Add(int64(st.Validations))

@@ -39,8 +39,8 @@ func BenchmarkCacheHitInstrumented(b *testing.B) {
 }
 
 // BenchmarkCacheHitUninstrumented is the pre-observability baseline:
-// DisableMetrics strips the registry, so instruments are nil and every
-// observation is a no-op method on a nil receiver.
+// DisableMetrics strips the registry, so histograms, gauges and stage
+// timers are off and only the unregistered counters behind Stats count.
 func BenchmarkCacheHitUninstrumented(b *testing.B) {
 	benchCacheHit(b, Config{DisableMetrics: true})
 }

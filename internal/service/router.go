@@ -46,7 +46,7 @@ type Router struct {
 	// around it. Lazily created when unset (standalone routers).
 	Breakers *resilience.Set
 
-	met routerMetrics // registry mirror; zero value inert
+	met routerMetrics // the service's router instruments; zero value inert
 
 	mu sync.Mutex // guards lazy Breakers init
 }

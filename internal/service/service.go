@@ -69,8 +69,10 @@ type Config struct {
 	// nil creates a private registry (retrievable via Service.Metrics,
 	// served by the HTTP handler at /metrics).
 	Metrics *obs.Registry
-	// DisableMetrics turns instrumentation off entirely — the
-	// uninstrumented baseline `make bench-obs` compares against.
+	// DisableMetrics turns the registry off: no /metrics, no
+	// histograms, no stage timers and no heap watchdog — the
+	// uninstrumented baseline `make bench-obs` compares against. The
+	// counters behind Stats keep counting, unregistered.
 	DisableMetrics bool
 	// MaxRetries is how many times a transient synthesis failure is
 	// retried (decorrelated-jitter backoff, Budget surfaced when the
@@ -192,7 +194,7 @@ type Service struct {
 	cache    *Cache
 	router   *Router
 	breakers *resilience.Set         // per-version-pair circuit breakers
-	met      *serviceMetrics         // nil when observability is disabled
+	met      *serviceMetrics         // every counter Stats reads; never nil
 	memgov   *resilience.MemGovernor // streaming-memory admission control
 	jobs     chan *job
 	fq       *tenant.FairQueue[*job] // replaces jobs when Config.Tenants is set
@@ -213,13 +215,12 @@ type Service struct {
 	genCache *synth.GenCache
 	hints    *synth.HintsRegistry
 
-	mu         sync.Mutex
-	closed     bool
-	drainStart time.Time
-	stats      Stats
-	byClass    map[string]int64
-	supported  map[version.V]bool
-	tenants    map[string]*TenantStats
+	mu             sync.Mutex
+	closed         bool
+	drainStart     time.Time
+	drainSeconds   float64
+	queueHighWater int
+	supported      map[version.V]bool
 
 	coMu    sync.Mutex
 	flights map[string]*flight // in-flight coalescable translations by (pair, input) key
@@ -256,9 +257,7 @@ func New(cfg Config) *Service {
 		start:     time.Now(),
 		drained:   make(chan struct{}),
 		watchStop: make(chan struct{}),
-		byClass:   map[string]int64{},
 		supported: map[version.V]bool{},
-		tenants:   map[string]*TenantStats{},
 		flights:   map[string]*flight{},
 	}
 	if cfg.Tenants != nil {
@@ -267,13 +266,9 @@ func New(cfg Config) *Service {
 			cap = t
 		}
 		s.fq = tenant.NewFairQueue[*job](cap, cfg.Tenants.Weight)
-		if s.met != nil {
-			s.fq.SetDepthObserver(s.met.tenantQueueDepth)
-		}
+		s.fq.SetDepthObserver(s.met.tenantQueueDepth)
 	}
-	if s.met != nil {
-		s.cache.met = s.met.cache
-	}
+	s.cache.met = s.met.cache
 	s.cache.SetMaxBytes(cfg.CacheMaxBytes)
 	if canonical := cfg.Synth.Getters == nil && cfg.Synth.Builders == nil; canonical {
 		s.genCache = synth.NewGenCache()
@@ -295,15 +290,13 @@ func New(cfg Config) *Service {
 		MaxHops:  cfg.MaxHops,
 		Get:      s.hopTranslator,
 		Breakers: s.breakers,
-	}
-	if s.met != nil {
-		s.router.met = s.met.router
+		met:      s.met.router,
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.met != nil {
+	if cfg.Metrics != nil {
 		s.watchWG.Add(1)
 		go s.heapWatchdog()
 	}
@@ -345,9 +338,9 @@ func (s *Service) Drain(ctx context.Context) error {
 			close(s.watchStop)
 			s.watchWG.Wait()
 			d := time.Since(s.drainStart)
-			s.met.drainDone(d)
+			s.met.drainSeconds.ObserveDuration(d)
 			s.mu.Lock()
-			s.stats.DrainSeconds = d.Seconds()
+			s.drainSeconds = d.Seconds()
 			s.mu.Unlock()
 			close(s.drained)
 		}()
@@ -398,36 +391,44 @@ func (s *Service) Versions() []version.V {
 // instruments live in, nil when Config.DisableMetrics was set. The
 // HTTP handler serves it at GET /metrics.
 func (s *Service) Metrics() *obs.Registry {
-	return s.met.Registry()
+	return s.met.reg
 }
 
-// Stats snapshots the service counters.
-//
-// Consistency: the request counters (under the service mutex) and the
-// cache counters (under the cache mutex) are each snapshotted
-// atomically, but not jointly — the two locks are never held together.
-// The cross-source skew is bounded by the number of in-flight
-// requests, and within each source the counters keep their invariants
-// in every snapshot: Completed+Failed ≤ Requests, and the cache's
-// per-outcome counters never exceed Lookups (a lookup is counted
-// before its outcome, under one mutex — see TestStatsSnapshotBounds).
+// Stats snapshots the service counters. They are the counters
+// /metrics exports (plus a few with no series: Coalesced, the stream
+// request counts and per-tenant StreamedBytes), read atomically one by
+// one, so a snapshot taken under traffic may be skewed by the requests
+// in flight. It keeps two invariants (see TestStatsSnapshotBounds):
+// Requests is Completed+Failed as read, and the cache's per-outcome
+// counters never sum past Lookups (see Cache.Stats).
 func (s *Service) Stats() Stats {
 	// Cache first: its events happen before the request-level record,
 	// so snapshotting in the same order keeps the common reading
 	// ("did the cache serve the requests counted here?") conservative.
 	cacheStats := s.cache.Stats()
+	m := s.met
+	st := Stats{
+		Completed:      m.reqOK.Value(),
+		Failed:         m.reqErr.Value(),
+		MultiHop:       m.multiHop.Value(),
+		Shed:           m.shed.Value(),
+		Retries:        m.retries.Value(),
+		Degraded:       m.degraded.Value(),
+		Quarantined:    m.quarantined.Value(),
+		Coalesced:      m.coalesced.Value(),
+		FailureClasses: m.failureClasses(),
+		Stream: StreamStats{
+			Requests: m.streamReqs.Value(),
+			Failed:   m.streamFailed.Value(),
+			BytesIn:  m.streamIn.Value(),
+			BytesOut: m.streamOut.Value(),
+		},
+		Tenants: m.tenantStats(),
+	}
+	st.Requests = st.Completed + st.Failed
 	s.mu.Lock()
-	st := s.stats
-	st.FailureClasses = map[string]int64{}
-	for k, v := range s.byClass {
-		st.FailureClasses[k] = v
-	}
-	if len(s.tenants) > 0 {
-		st.Tenants = make(map[string]TenantStats, len(s.tenants))
-		for id, ts := range s.tenants {
-			st.Tenants[id] = *ts
-		}
-	}
+	st.QueueHighWater = s.queueHighWater
+	st.DrainSeconds = s.drainSeconds
 	s.mu.Unlock()
 	if s.fq != nil && st.Tenants != nil {
 		for id, depth := range s.fq.Depths() {
@@ -505,8 +506,8 @@ func (s *Service) TranslateResult(ctx context.Context, src, tgt version.V, m *ir
 		return Result{}, err
 	}
 	s.senders.Add(1)
-	if d := s.queueLen() + 1; d > s.stats.QueueHighWater {
-		s.stats.QueueHighWater = d
+	if d := s.queueLen() + 1; d > s.queueHighWater {
+		s.queueHighWater = d
 	}
 	s.mu.Unlock()
 
@@ -522,9 +523,7 @@ func (s *Service) TranslateResult(ctx context.Context, src, tgt version.V, m *ir
 		return Result{}, err
 	}
 	s.senders.Done()
-	if s.met != nil {
-		s.met.queueDepth.Set(int64(s.queueLen()))
-	}
+	s.met.queueDepth.Set(int64(s.queueLen()))
 	select {
 	case r := <-j.res:
 		s.record(ctx, r.route, r.err)
@@ -644,15 +643,10 @@ func (s *Service) observeJob(d time.Duration) {
 }
 
 func (s *Service) recordShed(ctx context.Context) {
-	s.met.shedInc()
-	id := tenantOf(ctx)
-	s.met.tenantShed(id)
-	s.mu.Lock()
-	s.stats.Shed++
-	if id != "" {
-		s.tenantStatsLocked(id).Shed++
+	s.met.shed.Inc()
+	if id := tenantOf(ctx); id != "" {
+		s.met.tenantMet(id).shed.Inc()
 	}
-	s.mu.Unlock()
 }
 
 // TextResult is TranslateTextResult's outcome.
@@ -803,39 +797,10 @@ func (s *Service) admit(src, tgt version.V, m *ir.Module) error {
 	return nil
 }
 
-// record updates the outcome counters, the tenant's included when the
+// record counts a request's outcome, the tenant's included when the
 // context carries an identity.
 func (s *Service) record(ctx context.Context, route []version.V, err error) {
-	s.met.recordOutcome(route, err)
-	id := tenantOf(ctx)
-	s.met.tenantOutcome(id, err)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Requests++
-	var ts *TenantStats
-	if id != "" {
-		ts = s.tenantStatsLocked(id)
-		ts.Requests++
-	}
-	if err != nil {
-		s.stats.Failed++
-		if ts != nil {
-			ts.Failed++
-		}
-		class := "unclassified"
-		if c := failure.ClassOf(err); c != nil {
-			class = c.Error()
-		}
-		s.byClass[class]++
-		return
-	}
-	s.stats.Completed++
-	if ts != nil {
-		ts.Completed++
-	}
-	if len(route) > 2 {
-		s.stats.MultiHop++
-	}
+	s.met.outcome(tenantOf(ctx), route, err)
 }
 
 // worker executes queued jobs under the per-job deadline.
@@ -846,12 +811,11 @@ func (s *Service) worker() {
 		if !ok {
 			return
 		}
-		if wait := time.Since(j.enqueued); s.met != nil || obs.TraceFrom(j.ctx) != nil {
+		if s.met.timed(j.ctx) {
+			wait := time.Since(j.enqueued)
 			s.met.stageDur(j.ctx, stageQueue, wait)
-			if s.met != nil {
-				s.met.queueWait.ObserveDuration(wait)
-				s.met.queueDepth.Set(int64(s.queueLen()))
-			}
+			s.met.queueWait.ObserveDuration(wait)
+			s.met.queueDepth.Set(int64(s.queueLen()))
 		}
 		start := time.Now()
 		j.res <- s.run(j)
@@ -915,10 +879,7 @@ func (s *Service) degrade(tr translator.ModuleTranslator, origin Origin, m *ir.M
 	if perr != nil {
 		return jobResult{}, false
 	}
-	s.met.degradedInc()
-	s.mu.Lock()
-	s.stats.Degraded++
-	s.mu.Unlock()
+	s.met.degraded.Inc()
 	return jobResult{module: out, route: direct.Route(), origin: origin, degraded: true, dropped: len(sites)}, true
 }
 
@@ -958,10 +919,7 @@ func (s *Service) quarantineAndRetry(ctx context.Context, pair version.Pair, m *
 	if _, ok := tr.(*translator.Translator); !ok {
 		return jobResult{err: failure.Wrap(failure.Validation, verr)}
 	}
-	s.met.quarantinedInc()
-	s.mu.Lock()
-	s.stats.Quarantined++
-	s.mu.Unlock()
+	s.met.quarantined.Inc()      // Cache.Quarantine separately counts the cache event
 	_ = s.cache.Quarantine(pair) // best effort: the memory entry is gone either way
 	fresh, _, err := s.cachedTranslator(ctx, pair)
 	if err != nil {
@@ -998,13 +956,11 @@ func (s *Service) resolve(ctx context.Context, pair version.Pair) (translator.Mo
 	}
 	// Bind per-hop observation to this request: chains are composed per
 	// request, so the closure may capture the request trace.
-	if tr := obs.TraceFrom(ctx); tr != nil || s.met != nil {
-		met := s.met
+	if s.met.timed(ctx) {
+		tr, hops := obs.TraceFrom(ctx), s.met.hopSeconds
 		ch.OnHop = func(p version.Pair, d time.Duration) {
 			tr.Add(stageHop, d)
-			if met != nil {
-				met.hopSeconds.ObserveDuration(d)
-			}
+			hops.ObserveDuration(d)
 		}
 	}
 	return ch, OriginSynth, nil
@@ -1030,7 +986,7 @@ func (s *Service) hopTranslator(ctx context.Context, pair version.Pair) (*transl
 // granted probe or closed breaker runs synthesis under the retry
 // policy, and the outcome advances the breaker.
 func (s *Service) cachedTranslator(ctx context.Context, pair version.Pair) (*translator.Translator, Origin, error) {
-	observe := s.met != nil || obs.TraceFrom(ctx) != nil
+	observe := s.met.timed(ctx)
 	var start time.Time
 	var synthDur atomic.Int64 // written by the detached cache leader
 	if observe {
@@ -1073,10 +1029,7 @@ func (s *Service) retryPolicy() resilience.RetryPolicy {
 	return resilience.RetryPolicy{
 		Max: s.cfg.MaxRetries,
 		OnRetry: func(attempt int, err error, sleep time.Duration) {
-			s.met.retriesInc()
-			s.mu.Lock()
-			s.stats.Retries++
-			s.mu.Unlock()
+			s.met.retries.Inc()
 		},
 	}
 }

@@ -217,38 +217,20 @@ func (g *govWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// recordStream mirrors record for the streaming path, adding byte
-// accounting (service-wide and per-tenant) on top of the shared
-// request/failure counters.
+// recordStream is record for the streaming path, plus the stream's own
+// request count and its byte accounting, service-wide and per tenant.
+// Streams are always direct, so a stream never counts as multi-hop.
 func (s *Service) recordStream(ctx context.Context, res StreamResult, err error) {
-	s.met.recordOutcome(nil, err) // streams are always direct: no multi-hop count
-	id := tenantOf(ctx)
-	s.met.tenantOutcome(id, err)
-	s.met.streamedBytes(res.BytesIn, res.BytesOut)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Requests++
-	s.stats.Stream.Requests++
-	s.stats.Stream.BytesIn += res.BytesIn
-	s.stats.Stream.BytesOut += res.BytesOut
-	var ts *TenantStats
-	if id != "" {
-		ts = s.tenantStatsLocked(id)
-		ts.Requests++
-		ts.StreamedBytes += res.BytesIn + res.BytesOut
-	}
+	s.record(ctx, nil, err)
+	m := s.met
+	m.streamReqs.Inc()
 	if err != nil {
-		s.stats.Failed++
-		s.stats.Stream.Failed++
-		if ts != nil {
-			ts.Failed++
-		}
-		s.byClass[classLabel(err)]++
-		return
+		m.streamFailed.Inc()
 	}
-	s.stats.Completed++
-	if ts != nil {
-		ts.Completed++
+	m.streamIn.Add(res.BytesIn)
+	m.streamOut.Add(res.BytesOut)
+	if id := tenantOf(ctx); id != "" {
+		m.tenantMet(id).streamed.Add(res.BytesIn + res.BytesOut)
 	}
 }
 

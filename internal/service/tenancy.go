@@ -21,8 +21,9 @@ import (
 //     requests in flight at the same time share one translation,
 //     across tenants, while each requester is still charged;
 //   - accounting: whenever a request carries an identity, per-tenant
-//     request/failure/shed/coalesced counters in Stats().Tenants and
-//     tenant-labelled metrics. Anonymous requests are never sliced.
+//     request/failure/shed/coalesced counters, read by Stats().Tenants
+//     and exported as tenant-labelled metrics. Anonymous requests are
+//     never sliced.
 
 // TenantStats is one tenant's slice of the service counters.
 type TenantStats struct {
@@ -44,17 +45,6 @@ func tenantOf(ctx context.Context) string {
 		return ""
 	}
 	return tenant.From(ctx)
-}
-
-// tenantStatsLocked returns (creating) a tenant's counters. Caller
-// holds s.mu.
-func (s *Service) tenantStatsLocked(id string) *TenantStats {
-	ts := s.tenants[id]
-	if ts == nil {
-		ts = &TenantStats{}
-		s.tenants[id] = ts
-	}
-	return ts
 }
 
 // queueLen is the pending-job backlog, whichever queue is in use.
@@ -134,12 +124,8 @@ func (s *Service) coalesced(ctx context.Context, key string, fn func() (TextResu
 // recordCoalesced counts a request served by sharing an in-flight
 // translation.
 func (s *Service) recordCoalesced(ctx context.Context) {
-	id := tenantOf(ctx)
-	s.met.tenantCoalesced(id)
-	s.mu.Lock()
-	s.stats.Coalesced++
-	if id != "" {
-		s.tenantStatsLocked(id).Coalesced++
+	s.met.coalesced.Inc()
+	if id := tenantOf(ctx); id != "" {
+		s.met.tenantMet(id).coalesced.Inc()
 	}
-	s.mu.Unlock()
 }

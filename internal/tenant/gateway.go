@@ -34,7 +34,8 @@ type GateStats struct {
 type GatewayConfig struct {
 	// Registry authenticates keys (required).
 	Registry *Registry
-	// Metrics receives the per-tenant instruments; nil disables.
+	// Metrics receives the per-tenant instruments; nil leaves them
+	// unregistered (Stats still counts).
 	Metrics *obs.Registry
 	// Exempt lists path prefixes that bypass authentication entirely
 	// (probes and scrapes). Defaults to /healthz, /readyz, /metrics,
@@ -55,13 +56,15 @@ type Gateway struct {
 	cfg    GatewayConfig
 	exempt []string
 
-	mu    sync.Mutex
-	stats map[string]*GateStats
-	met   map[string]*gateMetrics
+	mu  sync.Mutex
+	met map[string]*gateMetrics
 }
 
-// gateMetrics pre-binds one tenant's instruments.
+// gateMetrics pre-binds one tenant's instruments. They are the
+// gateway's only counts: Stats reads them, and with
+// GatewayConfig.Metrics set /metrics exports them.
 type gateMetrics struct {
+	admitted      *obs.Counter // no series: Stats only
 	reqOK, reqErr *obs.Counter
 	rejAuth       *obs.Counter
 	rejRate       *obs.Counter
@@ -78,7 +81,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	return &Gateway{
 		cfg:    cfg,
 		exempt: exempt,
-		stats:  map[string]*GateStats{},
 		met:    map[string]*gateMetrics{},
 	}
 }
@@ -86,30 +88,45 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 // Registry exposes the registry (hot-reload wiring).
 func (g *Gateway) Registry() *Registry { return g.cfg.Registry }
 
-// Stats snapshots the per-tenant gateway counters.
+// Stats snapshots the per-tenant gateway counters. Outcomes are read
+// before Inflight and Inflight before Admitted, the reverse of the
+// order a request updates them, so OK+Errors+Inflight never exceeds
+// Admitted in a snapshot.
 func (g *Gateway) Stats() map[string]GateStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make(map[string]GateStats, len(g.stats))
-	for id, st := range g.stats {
-		out[id] = *st
+	out := make(map[string]GateStats, len(g.met))
+	for id, m := range g.met {
+		st := GateStats{
+			OK:            m.reqOK.Value(),
+			Errors:        m.reqErr.Value(),
+			RejectedAuth:  m.rejAuth.Value(),
+			RejectedRate:  m.rejRate.Value(),
+			RejectedQuota: m.rejQuota.Value(),
+		}
+		st.Inflight = m.inflight.Value()
+		st.Admitted = m.admitted.Value()
+		out[id] = st
 	}
 	return out
 }
 
-// tenantStats returns (creating) a tenant's counters and bound
-// instruments. Caller must not hold g.mu.
-func (g *Gateway) tenantStats(id string) (*GateStats, *gateMetrics) {
+// tenantMet returns (binding on first use) a tenant's instruments.
+// Without a registry they stay unregistered, so Stats still counts.
+func (g *Gateway) tenantMet(id string) *gateMetrics {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := g.stats[id]
-	if st == nil {
-		st = &GateStats{}
-		g.stats[id] = st
-	}
 	m := g.met[id]
 	if m == nil {
-		m = &gateMetrics{}
+		m = &gateMetrics{
+			admitted: new(obs.Counter),
+			reqOK:    new(obs.Counter),
+			reqErr:   new(obs.Counter),
+			rejAuth:  new(obs.Counter),
+			rejRate:  new(obs.Counter),
+			rejQuota: new(obs.Counter),
+			inflight: new(obs.Gauge),
+		}
 		if reg := g.cfg.Metrics; reg != nil {
 			const reqHelp = "Gateway requests by tenant and outcome."
 			const rejHelp = "Gateway rejections by tenant and reason."
@@ -122,7 +139,7 @@ func (g *Gateway) tenantStats(id string) (*GateStats, *gateMetrics) {
 		}
 		g.met[id] = m
 	}
-	return st, m
+	return m
 }
 
 // Key extraction: `Authorization: Bearer <key>` wins, `X-Api-Key`
@@ -168,51 +185,29 @@ func (g *Gateway) Wrap(next http.Handler) http.Handler {
 		}
 		grant, err := g.cfg.Registry.Authenticate(requestKey(r))
 		if err != nil {
-			st, m := g.tenantStats(unknownTenant)
-			g.mu.Lock()
-			st.RejectedAuth++
-			g.mu.Unlock()
-			m.rejAuth.Inc()
+			g.tenantMet(unknownTenant).rejAuth.Inc()
 			writeGateError(w, http.StatusUnauthorized, err)
 			return
 		}
 		id := grant.ID()
-		st, m := g.tenantStats(id)
+		m := g.tenantMet(id)
 		if err := grant.TakeToken(time.Now()); err != nil {
-			g.mu.Lock()
-			st.RejectedRate++
-			g.mu.Unlock()
 			m.rejRate.Inc()
 			writeGateError(w, http.StatusTooManyRequests, err)
 			return
 		}
 		if err := grant.AcquireInflight(); err != nil {
-			g.mu.Lock()
-			st.RejectedQuota++
-			g.mu.Unlock()
 			m.rejQuota.Inc()
 			writeGateError(w, http.StatusTooManyRequests, err)
 			return
 		}
 		defer grant.Release()
-		g.mu.Lock()
-		st.Admitted++
-		st.Inflight++
-		g.mu.Unlock()
+		m.admitted.Inc()
 		m.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(WithIdentity(r.Context(), id)))
-		ok := sw.status < http.StatusBadRequest
-		g.mu.Lock()
-		st.Inflight--
-		if ok {
-			st.OK++
-		} else {
-			st.Errors++
-		}
-		g.mu.Unlock()
 		m.inflight.Add(-1)
-		if ok {
+		if sw.status < http.StatusBadRequest {
 			m.reqOK.Inc()
 		} else {
 			m.reqErr.Inc()

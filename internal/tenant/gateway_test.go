@@ -2,9 +2,11 @@ package tenant
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -203,46 +205,116 @@ func TestGatewayHotReloadMidFlight(t *testing.T) {
 	}
 }
 
-// Gateway accounting: admissions, outcomes, and rejections land in the
-// right tenant's slice; auth failures land in "unknown"; the tenant
-// label reaches the metrics registry but API keys never do.
+// Gateway accounting: admissions, outcomes and rejections land in the
+// right tenant's slice and auth failures in "unknown". Stats reads the
+// counters the registry exports, so it equals the tenant series at any
+// moment, in flight included; with no registry it still counts. The
+// tenant label reaches the registry but API keys never do.
 func TestGatewayStatsAndMetrics(t *testing.T) {
-	status := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/fail" {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		io.WriteString(w, "ok")
-	})
-	gw, srv, reg := newTestGateway(t, twoTenants(), status)
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"metrics", obs.NewRegistry()}, {"no_metrics", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			entered, release := make(chan struct{}, 1), make(chan struct{})
+			next := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/fail":
+					http.Error(w, "boom", http.StatusInternalServerError)
+				case "/block":
+					entered <- struct{}{}
+					<-release
+				}
+				io.WriteString(w, "ok")
+			})
+			gw := NewGateway(GatewayConfig{
+				Registry: NewRegistry([]Tenant{
+					{ID: "acme", Key: "key-acme", RatePerSec: 1, Burst: 2},
+					{ID: "bolt", Key: "key-bolt", MaxInflight: 1},
+				}, Defaults{}),
+				Metrics: tc.reg,
+			})
+			srv := httptest.NewServer(gw.Wrap(next))
+			defer srv.Close()
+			released := false
+			defer func() {
+				if !released {
+					close(release)
+				}
+			}()
 
-	get(t, srv.URL+"/x", "key-acme")
-	get(t, srv.URL+"/fail", "key-acme")
-	get(t, srv.URL+"/x", "nope")
+			codes := []int{}
+			for _, req := range []struct{ path, key string }{
+				{"/x", "key-acme"},    // ok
+				{"/fail", "key-acme"}, // error
+				{"/x", "key-acme"},    // rate: the burst of 2 is spent
+				{"/x", "nope"},        // 401
+			} {
+				resp, _ := get(t, srv.URL+req.path, req.key)
+				codes = append(codes, resp.StatusCode)
+			}
+			if want := []int{200, 500, 429, 401}; !reflect.DeepEqual(codes, want) {
+				t.Fatalf("statuses %v, want %v", codes, want)
+			}
+			done := make(chan int, 1)
+			go func() {
+				resp, _ := get(t, srv.URL+"/block", "key-bolt")
+				done <- resp.StatusCode
+			}()
+			<-entered
+			if resp, _ := get(t, srv.URL+"/x", "key-bolt"); resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("bolt over its in-flight cap: status %d, want 429", resp.StatusCode)
+			}
 
-	st := gw.Stats()
-	acme := st["acme"]
-	if acme.Admitted != 2 || acme.OK != 1 || acme.Errors != 1 {
-		t.Fatalf("acme stats = %+v, want admitted 2 / ok 1 / errors 1", acme)
-	}
-	if st["unknown"].RejectedAuth != 1 {
-		t.Fatalf("unknown stats = %+v, want 1 auth rejection", st["unknown"])
-	}
-
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	expo := buf.String()
-	for _, want := range []string{
-		`siro_tenant_requests_total{outcome="ok",tenant="acme"}`,
-		`siro_tenant_rejections_total{reason="auth",tenant="unknown"}`,
-	} {
-		if !strings.Contains(expo, want) {
-			t.Errorf("exposition lacks %s", want)
-		}
-	}
-	if strings.Contains(expo, "key-acme") {
-		t.Error("exposition leaked an API key")
+			check := func(want map[string]GateStats) {
+				t.Helper()
+				got := gw.Stats()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Stats = %+v, want %+v", got, want)
+				}
+				if tc.reg == nil {
+					return
+				}
+				var buf strings.Builder
+				if err := tc.reg.WritePrometheus(&buf); err != nil {
+					t.Fatal(err)
+				}
+				expo := buf.String()
+				for id, st := range got {
+					for _, line := range []string{
+						fmt.Sprintf(`siro_tenant_requests_total{outcome="ok",tenant="%s"} %d`, id, st.OK),
+						fmt.Sprintf(`siro_tenant_requests_total{outcome="error",tenant="%s"} %d`, id, st.Errors),
+						fmt.Sprintf(`siro_tenant_rejections_total{reason="auth",tenant="%s"} %d`, id, st.RejectedAuth),
+						fmt.Sprintf(`siro_tenant_rejections_total{reason="rate",tenant="%s"} %d`, id, st.RejectedRate),
+						fmt.Sprintf(`siro_tenant_rejections_total{reason="quota",tenant="%s"} %d`, id, st.RejectedQuota),
+						fmt.Sprintf(`siro_tenant_inflight{tenant="%s"} %d`, id, st.Inflight),
+					} {
+						if !strings.Contains(expo, line+"\n") {
+							t.Errorf("exposition lacks %s\n%s", line, expo)
+						}
+					}
+				}
+				if strings.Contains(expo, "key-acme") || strings.Contains(expo, "key-bolt") {
+					t.Error("exposition leaked an API key")
+				}
+			}
+			acme := GateStats{Admitted: 2, OK: 1, Errors: 1, RejectedRate: 1}
+			unknown := GateStats{RejectedAuth: 1}
+			check(map[string]GateStats{
+				"acme":    acme,
+				"bolt":    {Admitted: 1, RejectedQuota: 1, Inflight: 1},
+				"unknown": unknown,
+			})
+			close(release)
+			released = true
+			if code := <-done; code != http.StatusOK {
+				t.Fatalf("blocked bolt request: status %d", code)
+			}
+			check(map[string]GateStats{
+				"acme":    acme,
+				"bolt":    {Admitted: 1, OK: 1, RejectedQuota: 1},
+				"unknown": unknown,
+			})
+		})
 	}
 }
