@@ -1,14 +1,14 @@
 # Tier-1 gate for the siro reproduction. `make check` is what CI and
 # pre-commit runs: formatting, vet, build, the full test suite, and the
 # race gate over the packages with concurrent internals (the synth
-# worker pool, the interpreter used from it, the translation service's
-# cache, router, and worker pool, the metrics/tracing substrate, and the
-# load CLI's in-process daemon, which wires a service, the jobs runner
-# and HTTP together).
+# GenCache and hints shared by concurrent pairs, the interpreter, the
+# translation service's cache, router, worker pool and matrix sweep, the
+# metrics/tracing substrate, and the load CLI's in-process daemon, which
+# wires a service, the jobs runner and HTTP together).
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz soak soak-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-obs bench-gateway bench-synth bench-e2e clean
+.PHONY: check fmt vet build test race fuzz soak soak-smoke crash-smoke tenant-smoke stream-smoke load-smoke bench bench-micro bench-obs bench-gateway bench-e2e clean
 
 check: fmt vet build test race
 
@@ -108,7 +108,7 @@ load-smoke:
 # Umbrella benchmark gate: every in-process bench-* gate, so a new gate
 # added here cannot silently drift out of "run all the benchmarks". The
 # end-to-end benchmark (bench-e2e) is a separate, minutes-long run.
-bench: bench-micro bench-obs bench-gateway bench-synth
+bench: bench-micro bench-obs bench-gateway
 
 bench-micro:
 	$(GO) test -bench=. -benchmem
@@ -125,13 +125,6 @@ bench-obs:
 # coalescing's per-request sha256 of the input.
 bench-gateway:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_gateway.json $(GO) test ./internal/service -run TestGatewayBenchReport -count=1 -v
-
-# Cold-synthesis benchmark: serial vs parallel vs warm-neighbor.
-# Asserts byte-identical serial/parallel exports, a >= 2x parallel
-# speedup on 4+ cores (reported only on smaller machines), and a
-# >= 1.2x warm-neighbor speedup; writes BENCH_synth.json.
-bench-synth:
-	SIRO_BENCH_JSON=$(CURDIR)/BENCH_synth.json $(GO) test ./internal/synth -run TestSynthBenchReport -count=1 -v -timeout 20m
 
 # Layered end-to-end benchmark: every workload against a real sirod built
 # from this checkout (see bench/README.md). Prints one JSON result per

@@ -486,22 +486,6 @@ func BenchmarkCompileC(b *testing.B) {
 	}
 }
 
-// --- §5: validation parallelization ---
-
-func BenchmarkValidationSequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		synthesizePair(b, version.Pair{Source: version.V12_0, Target: version.V3_6},
-			synth.Options{Workers: 1})
-	}
-}
-
-func BenchmarkValidationParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		synthesizePair(b, version.Pair{Source: version.V12_0, Target: version.V3_6},
-			synth.Options{Workers: 8})
-	}
-}
-
 // --- deployment artifact: export / import round trip ---
 
 // BenchmarkTranslatorImport loads the 12.0→3.6 artifact. "private"

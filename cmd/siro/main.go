@@ -63,16 +63,13 @@ func main() {
 	save := flag.String("save", "", "write the synthesized translator artifact (JSON) to this file (one pair only: not with -all)")
 	cacheDir := flag.String("cache", "", "translator cache directory: load cached artifacts instead of re-synthesizing, persist fresh ones")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "on-disk artifact budget with -cache: past it the least-recently-hit artifacts are GC'd (0: unbounded)")
-	warmMatrix := flag.Bool("warm-matrix", false, "synthesize the full version-pair matrix into -cache, nearest pairs first, then exit (Ctrl-C stops cleanly)")
-	synthWorkers := flag.Int("synth-workers", 0, "parallelism inside each synthesis run: candidate generation and validation workers (0: serial; output is byte-identical at any setting)")
+	warmMatrix := flag.Bool("warm-matrix", false, "synthesize the full version-pair matrix into -cache, nearest pairs first, up to GOMAXPROCS pairs at once, then exit (Ctrl-C stops cleanly)")
 	inFile := flag.String("in", "", "translate this textual IR file (- for stdin) from -src to -tgt; streams in bounded memory unless -src is auto")
 	outFile := flag.String("out", "", "with -in: write the translated IR to this file, replaced only on success (default stdout)")
 	partial := flag.Bool("partial", false, "with -in: drop unsupported constructs (reported on stderr) instead of failing")
 	flag.Parse()
 
-	svc := service.New(service.Config{CacheDir: *cacheDir, CacheMaxBytes: *cacheMax,
-		Synth: synth.Options{Workers: *synthWorkers},
-	})
+	svc := service.New(service.Config{CacheDir: *cacheDir, CacheMaxBytes: *cacheMax})
 	defer svc.Close()
 	ctx := context.Background()
 
@@ -168,10 +165,10 @@ func warmOrigin(before, after service.CacheStats) service.Origin {
 }
 
 // runWarmMatrix pre-synthesizes every ordered version pair into the
-// cache, nearest (cheapest, most-likely-requested) pairs first — the
-// offline equivalent of sirod's -auto-warm. Interruption is clean: the
-// pairs already warmed stay persisted and a rerun skips them by cache
-// hit.
+// cache, nearest (cheapest, most-likely-requested) pairs first and
+// several at once — the offline equivalent of sirod's -auto-warm. Lines
+// print in completion order. Interruption is clean: the pairs already
+// warmed stay persisted and a rerun skips them by cache hit.
 func runWarmMatrix(svc *service.Service, cacheDir string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

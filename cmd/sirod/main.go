@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/synth"
 	"repro/internal/tenant"
 	"repro/internal/version"
 )
@@ -56,7 +55,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job deadline (0 disables)")
 	maxHops := flag.Int("max-hops", 3, "maximum translator hops for multi-hop routing (1 disables routing)")
 	warm := flag.String("warm", "", "comma-separated src>tgt pairs to synthesize before serving, e.g. 12.0>3.6,17.0>3.6")
-	autoWarm := flag.Bool("auto-warm", false, "warm the full version-pair matrix in the background after startup, nearest pairs first")
+	autoWarm := flag.Bool("auto-warm", false, "warm the full version-pair matrix in the background after startup, nearest pairs first, up to GOMAXPROCS pairs at once")
 	maxBody := flag.Int64("max-body", service.DefaultMaxBodyBytes, "maximum /v1/translate request body in bytes (negative disables the bound); streaming requests are exempt — see -stream-mem-budget")
 	streamThreshold := flag.Int64("stream-threshold", service.DefaultStreamThreshold, "text/* /v1/translate bodies at or above this size stream function-at-a-time in bounded memory (negative: stream every text request)")
 	streamMemBudget := flag.Int64("stream-mem-budget", 0, "process-wide cap on bytes held by in-flight streaming translations; past it streams park briefly, then 429 with Retry-After (0: unlimited)")
@@ -78,7 +77,6 @@ func main() {
 	pollTimeout := flag.Duration("poll-timeout", 30*time.Second, "upper bound on GET /v1/jobs/{id}?wait= long-polls")
 	tenantsFile := flag.String("tenants", "", "multi-tenant gateway config (JSON): API keys, weights, quotas; turns on weighted (deficit-round-robin) fair queueing and cross-tenant coalescing; SIGHUP hot-reloads it (empty: no gateway, anonymous access, one FIFO queue)")
 	defaultQuota := flag.Float64("default-quota", 0, "default per-tenant rate limit in req/s for tenants that omit rate_per_sec (0: unlimited)")
-	synthWorkers := flag.Int("synth-workers", 0, "parallelism inside each synthesis run: candidate generation and validation workers (0: serial; output is byte-identical at any setting)")
 	flag.Parse()
 
 	var reg *obs.Registry
@@ -114,7 +112,6 @@ func main() {
 		BreakerCooldown:      *breakerCooldown,
 		ServeTrials:          *serveTrials,
 		DegradeUnderPressure: *degrade,
-		Synth:                synth.Options{Workers: *synthWorkers},
 		StreamMemBudget:      *streamMemBudget,
 		StreamMaxWait:        *streamMaxWait,
 		// Nil for anonymous deployments, which keep the FIFO queue and

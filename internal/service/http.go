@@ -243,34 +243,39 @@ func NewHandler(s *Service, opts HandlerOpts) http.Handler {
 		if maxBody > 0 {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		}
+		fail := func(err error) {
+			writeError(w, httpStatus(err), err)
+			logSlow("error", err)
+		}
+		// reject answers a request the service never saw, so it is
+		// counted here; everything past TranslateTextResult counts there.
+		reject := func(err error) {
+			s.record(ctx, nil, err)
+			fail(err)
+		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			// An oversized body surfaces as http.MaxBytesError from the
 			// decoder's reads; it shares the Parse class (the client sent
 			// an unreadable request) but gets its own 413 status.
-			err = failure.Wrapf(failure.Parse, "bad request body: %w", err)
-			writeError(w, httpStatus(err), err)
-			logSlow("error", err)
+			reject(failure.Wrapf(failure.Parse, "bad request body: %w", err))
 			return
 		}
 		tgt, err := version.Parse(req.Target)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, failure.Wrap(failure.Parse, err))
-			logSlow("error", err)
+			reject(failure.Wrap(failure.Parse, err))
 			return
 		}
 		var src version.V // zero = detect
 		if req.Source != "" && req.Source != "auto" {
 			if src, err = version.Parse(req.Source); err != nil {
-				writeError(w, http.StatusBadRequest, failure.Wrap(failure.Parse, err))
-				logSlow("error", err)
+				reject(failure.Wrap(failure.Parse, err))
 				return
 			}
 		}
 		start := time.Now()
 		res, err := s.TranslateTextResult(ctx, req.IR, src, tgt)
 		if err != nil {
-			writeError(w, httpStatus(err), err)
-			logSlow("error", err)
+			fail(err)
 			return
 		}
 		resp := TranslateResponse{

@@ -113,8 +113,10 @@ func (r *Router) edge(ctx context.Context, pair version.Pair, attempts *int) (*t
 	return tr, nil
 }
 
-// Route finds, composes, and validates a multi-hop src→tgt chain. The
-// returned error carries the class of the most informative failure:
+// Route finds, composes, and validates a multi-hop src→tgt chain of at
+// least two hops: its caller has already tried the direct pair, so the
+// search never asks for it again. The returned error carries the class
+// of the most informative failure:
 // Budget when the search ran out of attempts or time, Synthesis when
 // every candidate route had an unsynthesizable hop, Validation when a
 // composed chain misbehaved on the corpus.
@@ -167,29 +169,32 @@ func (r *Router) Route(ctx context.Context, src, tgt version.V) (*translator.Cha
 
 // search extends path (the hop translators so far, ending at cur) with
 // every viable next waypoint, depth-first, trying the final edge to tgt
-// first at each level. It returns the first chain that composes and
-// validates; a nil chain with a nil error means this subtree is
-// exhausted.
+// first at each level below the top. It returns the first chain that
+// composes and validates; a nil chain with a nil error means this
+// subtree is exhausted.
 func (r *Router) search(ctx context.Context, cur, tgt version.V, waypoints []version.V, path []*translator.Translator, hopsLeft int, attempts *int) (*translator.Chain, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, failure.FromContext(err)
 	}
-	// Close the route: cur→tgt as the final hop.
-	final, err := r.edge(ctx, version.Pair{Source: cur, Target: tgt}, attempts)
-	if err == nil {
-		ch, cerr := translator.NewChain(append(append([]*translator.Translator(nil), path...), final))
-		if cerr != nil {
-			return nil, cerr
+	// Close the route: cur→tgt as the final hop. With no hop taken yet
+	// that edge is the direct pair, which Route never asks for.
+	if len(path) > 0 {
+		final, err := r.edge(ctx, version.Pair{Source: cur, Target: tgt}, attempts)
+		if err == nil {
+			ch, cerr := translator.NewChain(append(append([]*translator.Translator(nil), path...), final))
+			if cerr != nil {
+				return nil, cerr
+			}
+			if verr := r.validateChain(ctx, ch); verr == nil {
+				return ch, nil
+			} else if failure.ClassOf(verr) == failure.Budget || ctx.Err() != nil {
+				return nil, verr
+			}
+			// An invalid composition is not fatal: some hop pair interacts
+			// badly; keep searching other routes.
+		} else if failure.ClassOf(err) == failure.Budget {
+			return nil, err
 		}
-		if verr := r.validateChain(ctx, ch); verr == nil {
-			return ch, nil
-		} else if failure.ClassOf(verr) == failure.Budget || ctx.Err() != nil {
-			return nil, verr
-		}
-		// An invalid composition is not fatal: some hop pair interacts
-		// badly; keep searching other routes.
-	} else if failure.ClassOf(err) == failure.Budget {
-		return nil, err
 	}
 	if hopsLeft <= 1 {
 		return nil, nil

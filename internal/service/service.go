@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -667,7 +668,8 @@ func (s *Service) TranslateText(ctx context.Context, text string, src version.V,
 }
 
 // TranslateTextResult is TranslateText with the full translation
-// outcome (degradation included).
+// outcome (degradation included). Input that fails to detect or parse
+// is counted here; everything later is counted by TranslateResult.
 func (s *Service) TranslateTextResult(ctx context.Context, text string, src version.V, tgt version.V) (TextResult, error) {
 	var m *ir.Module
 	var err error
@@ -676,6 +678,7 @@ func (s *Service) TranslateTextResult(ctx context.Context, text string, src vers
 		m, src, err = irtext.Detect(text, s.Versions())
 		end()
 		if err != nil {
+			s.record(ctx, nil, err)
 			return TextResult{}, err
 		}
 	} else {
@@ -683,7 +686,9 @@ func (s *Service) TranslateTextResult(ctx context.Context, text string, src vers
 		m, err = irtext.Parse(text, src)
 		end()
 		if err != nil {
-			return TextResult{Source: src}, failure.Wrapf(failure.Parse, "service: reading %s IR: %w", src, err)
+			err = failure.Wrapf(failure.Parse, "service: reading %s IR: %w", src, err)
+			s.record(ctx, nil, err)
+			return TextResult{Source: src}, err
 		}
 	}
 	if s.cfg.Tenants != nil {
@@ -717,10 +722,14 @@ func (s *Service) Detect(text string) (*ir.Module, version.V, error) {
 }
 
 // Warm synthesizes (or loads) the direct translator for a pair ahead
-// of traffic. Cancelling ctx abandons the *wait* with a Budget-classed
-// failure, not the work: an in-flight synthesis completes detached and
-// still lands in the cache (see Cache.Get).
+// of traffic. A ctx that is already done starts nothing. Cancelling ctx
+// later abandons the *wait* with a Budget-classed failure, not the work:
+// an in-flight synthesis completes detached and still lands in the cache
+// (see Cache.Get).
 func (s *Service) Warm(ctx context.Context, src, tgt version.V) error {
+	if err := ctx.Err(); err != nil {
+		return failure.FromContext(err)
+	}
 	if err := s.admit(src, tgt, nil); err != nil {
 		return err
 	}
@@ -757,26 +766,53 @@ func (s *Service) MatrixPairs() []version.Pair {
 	return out
 }
 
-// WarmMatrix feeds the full MatrixPairs plan through Warm, one pair at
-// a time. It returns how many pairs are warm. Per-pair failures are
-// reported to onPair (nil ok) and do not abort the sweep; ctx
-// cancellation does, promptly, with a Budget-classed error (each Warm
-// abandons only its wait — in-flight synthesis completes detached into
-// the cache, see Warm).
+// WarmMatrix feeds the full MatrixPairs plan through Warm, up to
+// GOMAXPROCS pairs at once, handing pairs out nearest first. Each
+// outcome goes to onPair (nil ok) as it arrives, never concurrently, and
+// a per-pair failure does not abort the sweep. It returns how many pairs
+// were reported warm. Cancelling ctx stops the sweep promptly with a
+// Budget-classed error: no further pair starts, onPair is not called
+// again, and a synthesis already in flight completes detached into the
+// cache (see Warm).
 func (s *Service) WarmMatrix(ctx context.Context, onPair func(p version.Pair, err error)) (int, error) {
-	warmed := 0
-	for _, p := range s.MatrixPairs() {
-		if err := ctx.Err(); err != nil {
-			return warmed, failure.FromContext(err)
+	type outcome struct {
+		pair version.Pair
+		err  error
+	}
+	pairs := s.MatrixPairs()
+	width := runtime.GOMAXPROCS(0)
+	done := make(chan outcome)
+	next, inFlight, warmed := 0, 0, 0
+	// abandon ends a cancelled sweep. The in-flight Warm calls abandon
+	// their waits at once; joining them means none starts a synthesis
+	// after WarmMatrix returns.
+	abandon := func() (int, error) {
+		for ; inFlight > 0; inFlight-- {
+			<-done
 		}
-		err := s.Warm(ctx, p.Source, p.Target)
+		return warmed, failure.FromContext(ctx.Err())
+	}
+	for next < len(pairs) || inFlight > 0 {
+		if ctx.Err() != nil {
+			return abandon()
+		}
+		if next < len(pairs) && inFlight < width {
+			p := pairs[next]
+			next++
+			inFlight++
+			go func() { done <- outcome{p, s.Warm(ctx, p.Source, p.Target)} }()
+			continue
+		}
+		o := <-done
+		inFlight--
+		if ctx.Err() != nil {
+			return abandon()
+		}
 		if onPair != nil {
-			onPair(p, err)
+			onPair(o.pair, o.err)
 		}
-		if err == nil {
+		if o.err == nil {
 			warmed++
-		} else if ctx.Err() != nil {
-			return warmed, failure.FromContext(ctx.Err())
 		}
 	}
 	return warmed, nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -413,15 +414,18 @@ func TestMatrixPairsOrderedByDistance(t *testing.T) {
 	}
 }
 
-// Cancelling WarmMatrix abandons the sweep promptly with a
-// Budget-classed error; pairs already warmed stay warm, and per-pair
-// callbacks stop arriving after the cancellation is observed.
+// Cancelling WarmMatrix inside its first callback ends the sweep
+// promptly with a Budget-classed error. The sweep runs up to GOMAXPROCS
+// pairs at once, so more than one synthesis may have started, but none
+// starts once WarmMatrix has returned, no callback follows the
+// cancelling one, and the pair it reported stays warm.
 func TestWarmMatrixCancellation(t *testing.T) {
-	var synths atomic.Int64
+	var started, finished atomic.Int64
 	svc := New(Config{
 		Workers: 2,
 		SynthFn: func(pair version.Pair, opts synth.Options) (*synth.Result, error) {
-			synths.Add(1)
+			started.Add(1)
+			defer finished.Add(1)
 			return DefaultSynthFn(pair, opts)
 		},
 	})
@@ -429,13 +433,16 @@ func TestWarmMatrixCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls int
+	var reported version.Pair
 	warmed, err := svc.WarmMatrix(ctx, func(p version.Pair, perr error) {
 		calls++
+		reported = p
 		if perr != nil {
 			t.Errorf("warm %s: %v", p, perr)
 		}
 		cancel() // cancel inside the first callback
 	})
+	atReturn := started.Load()
 	if err == nil {
 		t.Fatal("cancelled WarmMatrix returned nil error")
 	}
@@ -445,17 +452,96 @@ func TestWarmMatrixCancellation(t *testing.T) {
 	if warmed != 1 || calls != 1 {
 		t.Fatalf("after first-callback cancel: warmed %d, callbacks %d; want 1 and 1", warmed, calls)
 	}
-	if n := synths.Load(); n != 1 {
-		t.Fatalf("synthesis ran %d times before cancellation, want 1", n)
+	if max := int64(runtime.GOMAXPROCS(0)); atReturn < 1 || atReturn > max {
+		t.Fatalf("%d syntheses started before WarmMatrix returned, want 1 to GOMAXPROCS (%d)", atReturn, max)
 	}
 
-	// The pair warmed before cancellation survives: translating it now
-	// is a cache hit, not a new synthesis.
-	first := svc.MatrixPairs()[0]
-	if _, err := svc.Translate(context.Background(), first.Source, first.Target, corpus.Tests(first.Source)[0].Module); err != nil {
+	// The syntheses in flight at return finish detached; none may start
+	// after it.
+	waitFor(t, func() bool { return finished.Load() == started.Load() })
+	if n := started.Load(); n != atReturn {
+		t.Fatalf("%d syntheses started after WarmMatrix returned", n-atReturn)
+	}
+
+	// The pair reported warm survives: translating it now is a cache
+	// hit, not a new synthesis.
+	if _, err := svc.Translate(context.Background(), reported.Source, reported.Target, corpus.Tests(reported.Source)[0].Module); err != nil {
 		t.Fatal(err)
 	}
-	if n := synths.Load(); n != 1 {
-		t.Fatalf("warmed pair re-synthesized: %d syntheses", n)
+	if n := started.Load(); n != atReturn {
+		t.Fatalf("warmed pair %s re-synthesized: %d syntheses, want %d", reported, n, atReturn)
+	}
+}
+
+// WarmMatrix runs up to GOMAXPROCS pairs at once, hands them out
+// nearest first, and reports every outcome from one goroutine: the
+// callback's counter below is a plain int, so a concurrent call is a
+// race. The first wave of syntheses waits until all of it has started,
+// which only a sweep that really runs GOMAXPROCS pairs at once gets
+// past.
+func TestWarmMatrixRunsPairsConcurrently(t *testing.T) {
+	width := runtime.GOMAXPROCS(0)
+	firstWave := make(chan struct{})
+	var mu sync.Mutex // guards started, active and peak
+	var started []version.Pair
+	var active, peak int
+	svc := New(Config{
+		Workers:  1,
+		Versions: []version.V{version.V12_0, version.V13_0, version.V14_0, version.V15_0},
+		SynthFn: func(pair version.Pair, opts synth.Options) (*synth.Result, error) {
+			mu.Lock()
+			started = append(started, pair)
+			n := len(started)
+			mu.Unlock()
+			if n == width {
+				close(firstWave)
+			}
+			if n <= width {
+				select {
+				case <-firstWave:
+				case <-time.After(10 * time.Second):
+					t.Errorf("%s: only %d of the first %d syntheses started", pair, n, width)
+				}
+			}
+			mu.Lock()
+			active++
+			peak = max(peak, active)
+			mu.Unlock()
+			defer func() {
+				mu.Lock()
+				active--
+				mu.Unlock()
+			}()
+			return DefaultSynthFn(pair, opts)
+		},
+	})
+	defer svc.Close()
+	pairs := svc.MatrixPairs()
+	if width > len(pairs) {
+		t.Skipf("GOMAXPROCS %d exceeds the %d pairs of the test matrix", width, len(pairs))
+	}
+
+	calls := 0
+	warmed, err := svc.WarmMatrix(context.Background(), func(p version.Pair, perr error) {
+		calls++
+		if perr != nil {
+			t.Errorf("warm %s: %v", p, perr)
+		}
+	})
+	if err != nil || warmed != len(pairs) || calls != len(pairs) {
+		t.Fatalf("WarmMatrix warmed %d, reported %d of %d pairs: %v", warmed, calls, len(pairs), err)
+	}
+	if peak > width {
+		t.Fatalf("%d syntheses ran at once, want at most GOMAXPROCS (%d)", peak, width)
+	}
+	// The first wave is the nearest pairs, in whatever order they began.
+	first := map[version.Pair]bool{}
+	for _, p := range pairs[:width] {
+		first[p] = true
+	}
+	for _, p := range started[:width] {
+		if !first[p] {
+			t.Fatalf("first wave started %s, which is not among the %d nearest pairs %v", p, width, pairs[:width])
+		}
 	}
 }

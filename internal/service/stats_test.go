@@ -220,11 +220,12 @@ func driveKnownTraffic(t *testing.T, k *knownTraffic) Stats {
 			"acme": {Requests: 7, Completed: 2, Failed: 5, Shed: 4, StreamedBytes: int64(len(garbage) + header.Len())},
 			"bolt": {Requests: 2, Completed: 2, Coalesced: 1, StreamedBytes: int64(len(t12) + len(out))},
 		},
-		// 11 lookups: 4 for the multi-hop request (the refused direct
-		// pair, then the route's final-edge probe of it, 12.0->10.0 and
-		// 10.0->3.6) and one for every other request that reached the
-		// cache. The two refused lookups have no outcome.
-		Cache: CacheStats{Lookups: 11, MemoryHits: 6, Synthesized: 3},
+		// 10 lookups: 3 for the multi-hop request (the refused direct
+		// pair, then the route's 12.0->10.0 and 10.0->3.6; the route
+		// never asks for the direct pair again) and one for every other
+		// request that reached the cache. The refused lookup has no
+		// outcome.
+		Cache: CacheStats{Lookups: 10, MemoryHits: 6, Synthesized: 3},
 	}
 }
 
@@ -340,5 +341,52 @@ func TestStandaloneCacheCounts(t *testing.T) {
 	}
 	if got, want := c.Stats(), (CacheStats{Lookups: 2, MemoryHits: 1, Synthesized: 1}); got != want {
 		t.Fatalf("standalone cache stats = %+v, want %+v", got, want)
+	}
+}
+
+// A /v1/translate request answered 400 before any translation ran (IR
+// that does not parse or detect, a malformed body, a version that does
+// not parse)
+// is still a request: each counts once, as a parse failure, in Stats
+// and in /metrics alike.
+func TestRejectedRequestsAreCounted(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(Handler(svc))
+	defer srv.Close()
+
+	for _, r := range []struct{ what, contentType, path, body string }{
+		{"IR that does not parse", "application/json", "/v1/translate", `{"source":"12.0","target":"3.6","ir":"not IR"}`},
+		{"IR whose version is not detected", "application/json", "/v1/translate", `{"target":"3.6","ir":"not IR"}`},
+		{"malformed body", "application/json", "/v1/translate", `{"source":`},
+		{"unparsable target", "application/json", "/v1/translate", `{"source":"12.0","target":"banana","ir":""}`},
+		{"unparsable source", "application/json", "/v1/translate", `{"source":"twelve","target":"3.6","ir":""}`},
+		{"stream with an unparsable target", "text/plain", "/v1/translate?source=12.0&target=banana", ""},
+	} {
+		resp, err := http.Post(srv.URL+r.path, r.contentType, strings.NewReader(r.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", r.what, resp.StatusCode)
+		}
+	}
+
+	const n = 6
+	parse := failure.Parse.Error()
+	st := svc.Stats()
+	if st.Requests != n || st.Failed != n || !reflect.DeepEqual(st.FailureClasses, map[string]int64{parse: n}) {
+		t.Fatalf("Stats after %d rejected requests: requests %d, failed %d, classes %v", n, st.Requests, st.Failed, st.FailureClasses)
+	}
+	series := parseExposition(t, scrape(t, http.DefaultClient, srv.URL+"/metrics"))
+	for key, want := range map[string]float64{
+		`siro_requests_total{outcome="error"}`:       n,
+		`siro_requests_total{outcome="ok"}`:          0,
+		`siro_failures_total{class="` + parse + `"}`: n,
+	} {
+		if got := series[key]; got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
 	}
 }

@@ -71,19 +71,25 @@ func handleStream(s *Service, opts HandlerOpts, streamAt, maxBody int64, w http.
 		writeError(w, httpStatus(err), err)
 		logSlow("error", err)
 	}
+	// reject answers a request the service never saw, so it is counted
+	// here; the translate calls below count their own.
+	reject := func(err error) {
+		s.record(ctx, nil, err)
+		fail(err)
+	}
 	srcStr := q.Get("source")
 	if srcStr == "" || srcStr == "auto" {
-		fail(failure.Wrapf(failure.Parse, "streaming requires an explicit ?source= version (auto-detection reads the whole input)"))
+		reject(failure.Wrapf(failure.Parse, "streaming requires an explicit ?source= version (auto-detection reads the whole input)"))
 		return
 	}
 	src, err := version.Parse(srcStr)
 	if err != nil {
-		fail(failure.Wrapf(failure.Parse, "bad ?source=: %w", err))
+		reject(failure.Wrapf(failure.Parse, "bad ?source=: %w", err))
 		return
 	}
 	tgt, err := version.Parse(q.Get("target"))
 	if err != nil {
-		fail(failure.Wrapf(failure.Parse, "bad ?target=: %w", err))
+		reject(failure.Wrapf(failure.Parse, "bad ?target=: %w", err))
 		return
 	}
 	lenient := q.Get("partial") == "1"
@@ -99,7 +105,7 @@ func handleStream(s *Service, opts HandlerOpts, streamAt, maxBody int64, w http.
 		}
 		text, err := io.ReadAll(body)
 		if err != nil {
-			fail(failure.Wrapf(failure.Parse, "bad request body: %w", err))
+			reject(failure.Wrapf(failure.Parse, "bad request body: %w", err))
 			return
 		}
 		res, err := s.TranslateTextResult(ctx, string(text), src, tgt)

@@ -457,7 +457,8 @@ func TestAnonymousTrafficMintsNoTenantSeries(t *testing.T) {
 			}
 
 			st := svc.Stats()
-			if st.Stream.Requests != 1 || st.Requests < 2 {
+			// The JSON success, the unparsable JSON request and the stream.
+			if st.Stream.Requests != 1 || st.Requests != 3 {
 				t.Fatalf("traffic not recorded: %d requests, %d streamed", st.Requests, st.Stream.Requests)
 			}
 			if len(st.Tenants) != 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/failure"
@@ -59,7 +58,7 @@ func (s *Synthesizer) processTest(t *TestCase) error {
 	}
 
 	// ➌ Validation.
-	sum := s.validateBoxes(t, prof, boxes, total)
+	sum := s.validateBoxes(t, prof, boxes)
 	if !sum.anyWin {
 		seeded := false
 		for _, bx := range boxes {
@@ -73,7 +72,7 @@ func (s *Synthesizer) processTest(t *TestCase) error {
 			if boxes, total, err = s.enumerateBoxes(prof, false); err != nil {
 				return err
 			}
-			sum = s.validateBoxes(t, prof, boxes, total)
+			sum = s.validateBoxes(t, prof, boxes)
 		}
 	}
 	if !sum.anyWin && len(boxes) > 0 {
@@ -127,12 +126,10 @@ type valSummary struct {
 	timedOut int
 }
 
-// validateBoxes is step ➌: walk the assignment odometer and validate
-// every per-test translator. Validations are independent, so they
-// parallelize across Options.Workers exactly as §5 of the paper
-// parallelizes them across threads; ValidateTime is the wall clock from
-// fan-out to join.
-func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box, total int) valSummary {
+// validateBoxes is step ➌: walk the assignment odometer, validate every
+// per-test translator and tally each outcome as its assignment is
+// visited.
+func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box) valSummary {
 	start := time.Now()
 	entryBox := map[*ir.Instruction]*box{}
 	for _, bx := range boxes {
@@ -152,50 +149,14 @@ func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box
 	if d := s.Opts.TestDeadline; d > 0 {
 		deadline = time.Now().Add(d)
 	}
-	validateIdx := func(idx []int) valOutcome {
-		assign := map[*box]*irlib.Atomic{}
+	forEachAssignment(boxes, func(idx []int) {
+		// A fresh map per assignment: a validation abandoned at the
+		// deadline may still be reading its own.
+		assign := make(map[*box]*irlib.Atomic, len(boxes))
 		for i, bx := range boxes {
 			assign[bx] = bx.classes[idx[i]][0]
 		}
 		out := s.validateGuarded(t, byInst, entryBox, assign, deadline)
-		out.idx = idx
-		return out
-	}
-	outcomes := make([]valOutcome, 0, total)
-	if workers := s.Opts.Workers; workers > 1 {
-		jobs := make(chan []int, workers)
-		results := make(chan valOutcome, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for idx := range jobs {
-					results <- validateIdx(idx)
-				}
-			}()
-		}
-		go func() {
-			forEachAssignment(boxes, func(idx []int) {
-				cp := make([]int, len(idx))
-				copy(cp, idx)
-				jobs <- cp
-			})
-			close(jobs)
-			wg.Wait()
-			close(results)
-		}()
-		for out := range results {
-			outcomes = append(outcomes, out)
-		}
-	} else {
-		forEachAssignment(boxes, func(idx []int) {
-			cp := make([]int, len(idx))
-			copy(cp, idx)
-			outcomes = append(outcomes, validateIdx(cp))
-		})
-	}
-	for _, out := range outcomes {
 		s.stats.Validations++
 		if out.executed {
 			s.stats.ExecRuns++
@@ -211,10 +172,10 @@ func (s *Synthesizer) validateBoxes(t *TestCase, prof []*profEntry, boxes []*box
 		if out.ok {
 			sum.anyWin = true
 			for i, bx := range boxes {
-				sum.winners[bx][out.idx[i]] = true
+				sum.winners[bx][idx[i]] = true
 			}
 		}
-	}
+	})
 	s.stats.ValidateTime += time.Since(start)
 	return sum
 }
@@ -404,7 +365,6 @@ func semKey(t *irlib.Term, inst *ir.Instruction, reg *objReg) string {
 
 // valOutcome is one validation result.
 type valOutcome struct {
-	idx      []int
 	ok       bool
 	executed bool
 	panicked bool // rejected by panic isolation
@@ -485,7 +445,8 @@ func (s *Synthesizer) validateIsolated(t *TestCase, byInst map[*ir.Instruction]*
 // validateAssignment performs one differential-testing validation
 // (Fig. 6): translate the whole test with the assigned atomics, verify
 // the result, execute it, and compare against the oracle. It touches no
-// synthesizer state, so it is safe to call concurrently.
+// synthesizer state, so a validation abandoned at the test deadline can
+// keep running beside the next one.
 func (s *Synthesizer) validateAssignment(t *TestCase, byInst map[*ir.Instruction]*profEntry,
 	entryBox map[*ir.Instruction]*box, assign map[*box]*irlib.Atomic, stop <-chan struct{}) valOutcome {
 

@@ -18,9 +18,9 @@ func neighborTests(t *testing.T, v version.V) []*TestCase {
 // terms through one GenCache, and every synthesis reads the shared input
 // leaf. NewTerm stored each key before its term was published, so
 // reading a key writes nothing; under the race detector (make race) this
-// test is the guard. Two neighbor pairs synthesize over one GenCache with
-// parallel generation while the first pair's artifact is imported, and
-// their serial, cache-free reference runs go at the same time; each
+// test is the guard. Two neighbor pairs synthesize over one GenCache
+// while the first pair's artifact is imported, and their cache-free
+// reference runs go at the same time; each
 // shared-cache export must equal its reference. The references share no
 // lock with anything, so a key written on first use would race. That
 // holds only while no earlier test has keyed a term, so this test stays
@@ -37,7 +37,7 @@ func TestGenCacheConcurrentSynthesisAndImport(t *testing.T) {
 
 	gc := NewGenCache()
 	shared := make([][]byte, len(pairs)+1) // each pair's export, then the import's re-export
-	serial := make([][]byte, len(pairs))
+	private := make([][]byte, len(pairs))
 	errs := make([]error, 2*len(pairs))
 	var wg sync.WaitGroup
 	for i, p := range pairs {
@@ -46,13 +46,13 @@ func TestGenCacheConcurrentSynthesisAndImport(t *testing.T) {
 			defer wg.Done()
 			res, err := New(p.Source, p.Target, Options{}).Run(tests[i])
 			if err == nil {
-				serial[i], err = res.Export()
+				private[i], err = res.Export()
 			}
 			errs[2*i] = err
 		}()
 		go func() {
 			defer wg.Done()
-			opts := Options{Workers: 2, GenCache: gc}
+			opts := Options{GenCache: gc}
 			res, err := New(p.Source, p.Target, opts).Run(tests[i])
 			if err == nil {
 				shared[i], err = res.Export()
@@ -72,11 +72,11 @@ func TestGenCacheConcurrentSynthesisAndImport(t *testing.T) {
 		}
 	}
 
-	want := append(serial[:len(pairs):len(pairs)], serial[0])
+	want := append(private[:len(pairs):len(pairs)], private[0])
 	names := []string{pairs[0].String(), pairs[1].String(), "import of " + pairs[0].String()}
 	for i := range want {
 		if !bytes.Equal(shared[i], want[i]) {
-			t.Errorf("%s over the shared GenCache exported bytes that differ from the serial run", names[i])
+			t.Errorf("%s over the shared GenCache exported bytes that differ from the private run", names[i])
 		}
 	}
 	if gc.Len() == 0 {

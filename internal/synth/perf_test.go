@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"bytes"
 	"runtime"
 	"strconv"
 	"testing"
@@ -32,42 +31,10 @@ else:
 	}
 }
 
-// The core byte-determinism contract of the parallel rework: the same
-// tests and options, modulo Workers, must export byte-identical
-// artifacts at every worker count — generation fans out per kind but
-// each kind's list is sorted, and validation visits every assignment
-// regardless of completion order.
-func TestSerialParallelByteIdenticalExport(t *testing.T) {
-	var blobs [][]byte
-	for _, workers := range []int{0, 1, 2, 8} {
-		s := New(version.V12_0, version.V3_6, Options{Workers: workers})
-		res, err := s.Run(perfTests(t, version.V12_0))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		blob, err := res.Export()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		blobs = append(blobs, blob)
-	}
-	for i := 1; i < len(blobs); i++ {
-		if !bytes.Equal(blobs[0], blobs[i]) {
-			t.Fatalf("export at worker count %d differs from serial export", []int{0, 1, 2, 8}[i])
-		}
-	}
-	fp := Fingerprint(version.V12_0, version.V3_6, Options{})
-	fpPar := Fingerprint(version.V12_0, version.V3_6, Options{Workers: 8})
-	if fp != fpPar {
-		t.Fatal("Workers leaked into the artifact fingerprint; cached artifacts would miss across worker counts")
-	}
-}
-
 // Stats.Phases documents disjoint wall-clock intervals: they must sum
-// to Total, and Total must not exceed the run's elapsed wall time even
-// with every parallel path engaged.
+// to Total, and Total must not exceed the run's elapsed wall time.
 func TestPhaseAccountingInvariant(t *testing.T) {
-	s := New(version.V12_0, version.V3_6, Options{Workers: 8})
+	s := New(version.V12_0, version.V3_6, Options{})
 	start := time.Now()
 	res, err := s.Run(perfTests(t, version.V12_0))
 	elapsed := time.Since(start)
@@ -121,7 +88,7 @@ exit:
 	// Refine M* on simple tests and a fast loop of the same shape first,
 	// so the slow test's enumeration runs over small refined pools
 	// (Optimization II) instead of a combinatorial cold product.
-	s := New(version.V12_0, version.V3_6, Options{Workers: 4})
+	s := New(version.V12_0, version.V3_6, Options{})
 	for _, warm := range append(perfTests(t, version.V12_0), loop("fastloop", 3)) {
 		if err := s.AddTest(warm); err != nil {
 			t.Fatal(err)

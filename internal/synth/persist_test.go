@@ -27,7 +27,7 @@ func exportPair(t *testing.T, p version.Pair, opts synth.Options) []byte {
 
 // Artifacts must be byte-deterministic: the content-addressed cache
 // derives identity from (pair, fingerprint) and relies on equal keys
-// producing equal bytes, across runs and across validation parallelism.
+// producing equal bytes across runs.
 func TestExportByteDeterministic(t *testing.T) {
 	p := version.Pair{Source: version.V12_0, Target: version.V3_6}
 	a := exportPair(t, p, synth.Options{})
@@ -35,9 +35,42 @@ func TestExportByteDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two synthesis runs exported different bytes:\n%s\n-- vs --\n%s", a, b)
 	}
-	c := exportPair(t, p, synth.Options{Workers: 8})
-	if !bytes.Equal(a, c) {
-		t.Fatalf("parallel validation changed the exported artifact")
+}
+
+// Neighbor hints change what a synthesis costs, never what it exports:
+// 13.0->3.6 exports the same bytes seeded by its nearest neighbor, by a
+// farther one, and by none. A concurrent matrix sweep relies on this,
+// since which neighbors are done when a pair starts depends on the
+// schedule.
+func TestHintsNeverChangeAnArtifact(t *testing.T) {
+	hintsOf := func(src version.V) *synth.Hints {
+		t.Helper()
+		res, err := synth.New(src, version.V3_6, synth.Options{}).Run(corpus.Tests(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Hints(synth.Options{})
+	}
+	p := version.Pair{Source: version.V13_0, Target: version.V3_6}
+	plain := exportPair(t, p, synth.Options{})
+	seeded := 0
+	for _, from := range []version.V{version.V12_0, version.V17_0} {
+		opts := synth.Options{Hints: hintsOf(from)}
+		res, err := synth.New(p.Source, p.Target, opts).Run(corpus.Tests(p.Source))
+		if err != nil {
+			t.Fatalf("hints of %s->3.6: %v", from, err)
+		}
+		seeded += res.Stats.NeighborSeeded
+		blob, err := res.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, plain) {
+			t.Errorf("hints of %s->3.6 changed the %s artifact", from, p)
+		}
+	}
+	if seeded == 0 {
+		t.Fatal("no hinted run seeded a box; the test compared three cold runs")
 	}
 }
 

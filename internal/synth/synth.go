@@ -20,8 +20,6 @@ package synth
 import (
 	"fmt"
 	"sort"
-	"sync"
-
 	"time"
 
 	"repro/internal/ir"
@@ -52,15 +50,6 @@ type Options struct {
 	// MaxPerTest aborts a test whose per-test translator count exceeds
 	// this bound (default 1 << 20). The ablation benches lower it.
 	MaxPerTest int
-	// Workers sets the synthesis parallelism: candidate generation is
-	// fanned out across instruction kinds and validations across
-	// per-test translators (§5 of the paper parallelizes validation
-	// across 40 threads; generations and validations are independent).
-	// 0 or 1 runs sequentially. The produced artifact is byte-identical
-	// at every worker count: per-kind generation is order-independent
-	// and validation visits every assignment, so refinement sees the
-	// same winner sets regardless of completion order.
-	Workers int
 	// Hints, when non-nil, seeds refined-cell candidate pools from a
 	// neighboring pair's completed synthesis wherever the version-gate
 	// surface matches (see Hints). Seeded pools are re-validated on
@@ -101,15 +90,11 @@ func (o Options) withDefaults() Options {
 
 // Stats aggregates the measurements reported in §6.4.
 //
-// The phase durations are wall-clock intervals of the synthesizer's
-// driving goroutine: a parallel phase (generation fanned across kinds,
-// validation fanned across per-test translators) is timed from fan-out
-// to join, never by summing its workers — so the phases stay disjoint,
-// sum to Total, and Total never exceeds the run's elapsed wall time no
-// matter the worker count (pinned by TestPhaseAccountingWallClock).
-// ExecTime is the exception: it sums interpreter time across workers
-// (CPU time, not wall clock), so with Workers > 1 it can legitimately
-// exceed ValidateTime; it is excluded from Phases for that reason.
+// A synthesis runs on one goroutine, so the phase durations are plain
+// wall-clock intervals: they are disjoint, sum to Total, and Total never
+// exceeds the run's elapsed wall time (pinned by
+// TestPhaseAccountingInvariant). ExecTime is the interpreter's share of
+// ValidateTime, not a phase of its own.
 type Stats struct {
 	CandidatesPerKind map[ir.Opcode]int
 	RefinedPerKind    map[ir.Opcode]int
@@ -127,7 +112,7 @@ type Stats struct {
 	ProfileTime  time.Duration
 	EnumTime     time.Duration
 	ValidateTime time.Duration
-	ExecTime     time.Duration // cumulative interpreter CPU time across validation workers
+	ExecTime     time.Duration // interpreter time, part of ValidateTime
 	RefineTime   time.Duration
 	CompleteTime time.Duration
 }
@@ -150,9 +135,8 @@ func (s *Stats) CandidatesTotal() int {
 // Phases returns the per-phase wall times keyed by phase name, the
 // seam observability exporters record synthesis-time breakdowns
 // through. The phases are disjoint wall-clock intervals and sum to
-// Total. ExecTime is omitted: it is summed across validation workers
-// (CPU time), so under parallel validation it is not a wall-clock
-// subset of "validate" and would break the invariant.
+// Total. ExecTime is omitted: it is part of "validate", and listing it
+// too would count that time twice.
 func (s *Stats) Phases() map[string]time.Duration {
 	return map[string]time.Duration{
 		"gen":      s.GenTime,
@@ -290,73 +274,37 @@ func (s *Synthesizer) Complete() (*Result, error) {
 }
 
 // generate runs type-guided generation for every common instruction
-// kind, fanned out across Options.Workers. Per-kind generations are
-// independent and each kind's list is sorted deterministically, so the
-// result is identical at any worker count; GenTime is the wall clock
-// from fan-out to join. Kinds whose generation surface is already in
-// the GenCache reuse the cached list (read-only) instead of rebuilding
-// the typegraph. The surfaces digested for the GenCache are kept, so
-// cell surfaces built on them later do not digest the libraries again.
+// kind, each kind's list sorted deterministically. Kinds whose
+// generation surface is already in the GenCache reuse the cached list
+// (read-only) instead of rebuilding the typegraph. The surfaces digested
+// for the GenCache are kept, so cell surfaces built on them later do not
+// digest the libraries again.
 func (s *Synthesizer) generate() {
 	start := time.Now()
 	ops := ir.CommonOpcodes(s.SrcVer, s.TgtVer)
-	results := make([][]*irlib.Atomic, len(ops))
-	surfaces := make([]string, len(ops))
-	cached := make([]bool, len(ops))
 	gc := s.Opts.GenCache
 	if !s.canonical {
 		gc = nil
 	}
-	genOne := func(i int) {
-		op := ops[i]
+	s.candidates = make(map[ir.Opcode][]*irlib.Atomic, len(ops))
+	s.genSurfaces = make(map[ir.Opcode]string, len(ops))
+	for _, op := range ops {
 		var surface string
 		if gc != nil {
 			surface = s.genSurfaceOf(op)
-			surfaces[i] = surface
+			s.genSurfaces[op] = surface
 			if cands, ok := gc.lookup(surface); ok {
-				results[i], cached[i] = cands, true
-				return
+				s.candidates[op] = cands
+				s.stats.GenCacheHits++
+				continue
 			}
 		}
 		g := typegraph.Build(op, s.getters, s.builders, s.xlate)
 		cands := g.Candidates(s.Opts.Gen)
 		typegraph.SortAtomics(cands)
-		results[i] = cands
+		s.candidates[op] = cands
 		if gc != nil {
 			gc.store(surface, cands)
-		}
-	}
-	if workers := min(s.Opts.Workers, len(ops)); workers > 1 {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					genOne(i)
-				}
-			}()
-		}
-		for i := range ops {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range ops {
-			genOne(i)
-		}
-	}
-	s.candidates = make(map[ir.Opcode][]*irlib.Atomic, len(ops))
-	s.genSurfaces = make(map[ir.Opcode]string, len(ops))
-	for i, op := range ops {
-		s.candidates[op] = results[i]
-		if surfaces[i] != "" {
-			s.genSurfaces[op] = surfaces[i]
-		}
-		if cached[i] {
-			s.stats.GenCacheHits++
 		}
 	}
 	s.stats.GenTime += time.Since(start)

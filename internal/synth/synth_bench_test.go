@@ -1,47 +1,39 @@
 package synth
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/version"
 )
 
-// Cold-synthesis latency is the number the parallel rework and the
-// cross-pair memoization exist to move. Three configurations matter:
+// Cold-synthesis latency is the number the cross-pair memoization
+// exists to move. Two configurations matter:
 //
-//   - serial: Workers 0, no shared state — the seed behavior.
-//   - parallel: Workers = NumCPU — generation and validation fan out.
+//   - cold: no shared state, one synthesis from scratch.
 //   - warm-neighbor: a completed adjacent pair's GenCache + Hints are
 //     injected, the warm-matrix / service-router path.
 //
-// `make bench-synth` runs TestSynthBenchReport, which measures all
-// three (best of 3), asserts the serial and parallel exports are
-// byte-identical, gates parallel >= 2x serial on machines with 4+
-// cores, gates warm-neighbor >= 1.2x cold everywhere, and writes
-// BENCH_synth.json for CI to archive.
+// TestWarmNeighborSynthFaster measures both (best of 3) and gates
+// warm-neighbor >= 1.2x cold.
 
-func benchSynthTests(b *testing.B, v version.V) []*TestCase {
-	b.Helper()
+func benchSynthTests(tb testing.TB, v version.V) []*TestCase {
+	tb.Helper()
 	return []*TestCase{
-		tc(b, "add", `
+		tc(tb, "add", `
 define i32 @main() {
 entry:
   %x = add i32 2, 3
   ret i32 %x
 }
 `, v, 5),
-		tc(b, "sub", `
+		tc(tb, "sub", `
 define i32 @main() {
 entry:
   %x = sub i32 50, 8
   ret i32 %x
 }
 `, v, 42),
-		tc(b, "branching", `
+		tc(tb, "branching", `
 define i32 @main() {
 entry:
   %cond = icmp eq i32 10, 20
@@ -65,16 +57,23 @@ func benchColdSynth(b *testing.B, src version.V, opts func() Options) {
 	}
 }
 
-// BenchmarkColdSynthSerial is the seed path: one goroutine end to end.
-func BenchmarkColdSynthSerial(b *testing.B) {
-	benchColdSynth(b, version.V12_0, func() Options { return Options{} })
+// neighborDone synthesizes 12.0->3.6 over a fresh GenCache and returns
+// that cache with the run's hints: the state a 13.0->3.6 synthesis
+// inherits once its neighbor is done.
+func neighborDone(tb testing.TB) (*GenCache, *Hints) {
+	tb.Helper()
+	gc := NewGenCache()
+	doneOpts := Options{GenCache: gc}
+	res, err := New(version.V12_0, version.V3_6, doneOpts).Run(benchSynthTests(tb, version.V12_0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gc, res.Hints(doneOpts)
 }
 
-// BenchmarkColdSynthParallel fans generation and validation out over
-// all cores. The export stays byte-identical to serial (pinned by
-// TestSerialParallelByteIdenticalExport and re-asserted in the report).
-func BenchmarkColdSynthParallel(b *testing.B) {
-	benchColdSynth(b, version.V12_0, func() Options { return Options{Workers: runtime.NumCPU()} })
+// BenchmarkColdSynthSerial synthesizes 12.0->3.6 with no shared state.
+func BenchmarkColdSynthSerial(b *testing.B) {
+	benchColdSynth(b, version.V12_0, func() Options { return Options{} })
 }
 
 // BenchmarkWarmNeighborSynth synthesizes 13.0->3.6 with the GenCache
@@ -82,14 +81,7 @@ func BenchmarkColdSynthParallel(b *testing.B) {
 // service router and `siro -warm-matrix` hand each pair after its
 // neighbor finishes.
 func BenchmarkWarmNeighborSynth(b *testing.B) {
-	gc := NewGenCache()
-	doneOpts := Options{GenCache: gc}
-	done := New(version.V12_0, version.V3_6, doneOpts)
-	res, err := done.Run(benchSynthTests(b, version.V12_0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	hints := res.Hints(doneOpts)
+	gc, hints := neighborDone(b)
 	b.ResetTimer()
 	benchColdSynth(b, version.V13_0, func() Options { return Options{GenCache: gc, Hints: hints} })
 }
@@ -100,39 +92,32 @@ func benchWarmBaseline(b *testing.B) {
 	benchColdSynth(b, version.V13_0, func() Options { return Options{} })
 }
 
-func TestSynthBenchReport(t *testing.T) {
+// A completed neighbor must make the next pair's synthesis at least
+// 1.2x faster, and for the reason the memoization gives: hint-seeded
+// boxes and fewer validations than the cold run.
+func TestWarmNeighborSynthFaster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing gate: six benchmark runs")
+	}
 	if raceDetectorOn {
-		t.Skip("race-detector instrumentation skews synthesis timings; gated by make bench-synth")
+		t.Skip("race-detector instrumentation skews synthesis timings")
 	}
-	out := os.Getenv("SIRO_BENCH_JSON")
-	if out == "" {
-		// Timing thresholds are only trustworthy on a quiet machine: the
-		// dedicated `make bench-synth` target (which sets SIRO_BENCH_JSON)
-		// runs this gate alone; inside the full parallel test sweep the
-		// measurement competes for CPU and flakes.
-		t.Skip("no SIRO_BENCH_JSON set; threshold gated by the bench make target")
-	}
-
-	// The speedup must never come from synthesizing something else:
-	// serial and parallel runs of the same tests export the same bytes.
-	serialRes, err := New(version.V12_0, version.V3_6, Options{}).Run(perfTests(t, version.V12_0))
+	cold, err := New(version.V13_0, version.V3_6, Options{}).Run(benchSynthTests(t, version.V13_0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelRes, err := New(version.V12_0, version.V3_6, Options{Workers: runtime.NumCPU()}).Run(perfTests(t, version.V12_0))
+	gc, hints := neighborDone(t)
+	warm, err := New(version.V13_0, version.V3_6, Options{GenCache: gc, Hints: hints}).Run(benchSynthTests(t, version.V13_0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialBlob, err := serialRes.Export()
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("warm-neighbor: %d boxes seeded, %d validations; cold: %d validations",
+		warm.Stats.NeighborSeeded, warm.Stats.Validations, cold.Stats.Validations)
+	if warm.Stats.NeighborSeeded == 0 {
+		t.Fatal("no box was hint-seeded; the neighbor's hints did not transfer")
 	}
-	parallelBlob, err := parallelRes.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialBlob, parallelBlob) {
-		t.Fatal("parallel export differs from serial export; determinism broke")
+	if warm.Stats.Validations >= cold.Stats.Validations {
+		t.Fatalf("warm-neighbor run validated %d translators, cold run %d", warm.Stats.Validations, cold.Stats.Validations)
 	}
 
 	best := func(bench func(*testing.B)) int64 {
@@ -145,67 +130,15 @@ func TestSynthBenchReport(t *testing.T) {
 		}
 		return bestNs
 	}
-	serialNs := best(BenchmarkColdSynthSerial)
-	parallelNs := best(BenchmarkColdSynthParallel)
 	warmNs := best(BenchmarkWarmNeighborSynth)
-	warmBaseNs := best(benchWarmBaseline)
-	if serialNs <= 0 || parallelNs <= 0 || warmNs <= 0 || warmBaseNs <= 0 {
-		t.Fatalf("degenerate measurements: serial %d, parallel %d, warm %d, warm-baseline %d ns/op",
-			serialNs, parallelNs, warmNs, warmBaseNs)
+	coldNs := best(benchWarmBaseline)
+	if warmNs <= 0 || coldNs <= 0 {
+		t.Fatalf("degenerate measurements: warm %d, cold %d ns/op", warmNs, coldNs)
 	}
-	parSpeedup := float64(serialNs) / float64(parallelNs)
-	warmSpeedup := float64(warmBaseNs) / float64(warmNs)
-	t.Logf("cold synthesis: serial %d ns/op, parallel(%d cores) %d ns/op (%.2fx), warm-neighbor %d ns/op vs cold %d ns/op (%.2fx)",
-		serialNs, runtime.NumCPU(), parallelNs, parSpeedup, warmNs, warmBaseNs, warmSpeedup)
-
-	const minParSpeedup = 2.0
-	if runtime.NumCPU() >= 4 {
-		if parSpeedup < minParSpeedup {
-			t.Fatalf("parallel speedup %.2fx below the %.1fx gate on %d cores", parSpeedup, minParSpeedup, runtime.NumCPU())
-		}
-	} else {
-		t.Logf("only %d core(s): the %.1fx parallel gate needs 4+, reporting only", runtime.NumCPU(), minParSpeedup)
+	speedup := float64(coldNs) / float64(warmNs)
+	t.Logf("warm-neighbor %d ns/op vs cold %d ns/op (%.2fx)", warmNs, coldNs, speedup)
+	const minSpeedup = 1.2
+	if speedup < minSpeedup {
+		t.Fatalf("warm-neighbor speedup %.2fx below the %.1fx gate — memoization stopped engaging", speedup, minSpeedup)
 	}
-	const minWarmSpeedup = 1.2
-	if warmSpeedup < minWarmSpeedup {
-		t.Fatalf("warm-neighbor speedup %.2fx below the %.1fx gate — memoization stopped engaging", warmSpeedup, minWarmSpeedup)
-	}
-
-	report := struct {
-		Benchmark        string  `json:"benchmark"`
-		Cores            int     `json:"cores"`
-		SerialNsOp       int64   `json:"serial_ns_per_op"`
-		ParallelNsOp     int64   `json:"parallel_ns_per_op"`
-		ParallelSpeedup  float64 `json:"parallel_speedup"`
-		ParallelGate     float64 `json:"parallel_gate_min"`
-		ParallelGated    bool    `json:"parallel_gate_enforced"`
-		WarmNsOp         int64   `json:"warm_neighbor_ns_per_op"`
-		WarmBaselineNsOp int64   `json:"warm_baseline_ns_per_op"`
-		WarmSpeedup      float64 `json:"warm_speedup"`
-		WarmGate         float64 `json:"warm_gate_min"`
-		ExportIdentical  bool    `json:"serial_parallel_export_identical"`
-		Runs             int     `json:"runs_each"`
-	}{
-		Benchmark:        "cold synthesis: serial vs parallel vs warm-neighbor",
-		Cores:            runtime.NumCPU(),
-		SerialNsOp:       serialNs,
-		ParallelNsOp:     parallelNs,
-		ParallelSpeedup:  parSpeedup,
-		ParallelGate:     minParSpeedup,
-		ParallelGated:    runtime.NumCPU() >= 4,
-		WarmNsOp:         warmNs,
-		WarmBaselineNsOp: warmBaseNs,
-		WarmSpeedup:      warmSpeedup,
-		WarmGate:         minWarmSpeedup,
-		ExportIdentical:  true,
-		Runs:             3,
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -392,56 +392,6 @@ func TestSynthesizedTranslatorGeneralizes(t *testing.T) {
 	}
 }
 
-// TestParallelValidationEquivalent runs the same synthesis sequentially
-// and with a worker pool and checks the refined sets are identical —
-// validation order must not affect refinement.
-func TestParallelValidationEquivalent(t *testing.T) {
-	run := func(workers int) *Result {
-		s := New(version.V12_0, version.V3_6, Options{Workers: workers})
-		res, err := s.Run([]*TestCase{
-			addTest(t, version.V12_0),
-			subTest(t, version.V12_0),
-			tc(t, "branching", `
-define i32 @main() {
-entry:
-  %cond = icmp eq i32 10, 20
-  br i1 %cond, label %then, label %else
-then:
-  ret i32 42
-else:
-  ret i32 41
-}
-`, version.V12_0, 41),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	par := run(8)
-	if seq.Stats.Validations != par.Stats.Validations {
-		t.Fatalf("validation counts differ: %d vs %d", seq.Stats.Validations, par.Stats.Validations)
-	}
-	for op, cells := range seq.Refined {
-		for sigma, atoms := range cells {
-			pAtoms := par.Refined[op][sigma]
-			if len(atoms) != len(pAtoms) {
-				t.Fatalf("%s %q: refined %d vs %d", op, sigma, len(atoms), len(pAtoms))
-			}
-			keys := map[string]bool{}
-			for _, a := range atoms {
-				keys[a.Key()] = true
-			}
-			for _, a := range pAtoms {
-				if !keys[a.Key()] {
-					t.Fatalf("%s %q: parallel kept %s, sequential did not", op, sigma, a.Key())
-				}
-			}
-		}
-	}
-}
-
 // TestIncrementalWorkflow models the paper's user loop: synthesize,
 // notice the branch translator is underdetermined, add the enhanced
 // Fig. 10 case, and re-complete without reprocessing earlier tests.

@@ -125,7 +125,7 @@ func TestAllTableThreePairsEndToEnd(t *testing.T) {
 	for _, pair := range Table3Pairs {
 		pair := pair
 		t.Run(pair.String(), func(t *testing.T) {
-			tr, rep, err := SynthesizeWithOptions(pair.Source, pair.Target, nil, SynthOptions{Workers: 4})
+			tr, rep, err := SynthesizeWithOptions(pair.Source, pair.Target, nil, SynthOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
